@@ -52,8 +52,8 @@ void LrcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
         // the payload is the complete global set, forwarded verbatim.
         const sim::Time when = d.arrive + ctx_.costs.handler_service;
         for (int k = 0; k < treeChildCount(); ++k)
-          ctx_.endpoint.post(treeChild(k), kBarrRelease, Bytes(d.payload),
-                             when);
+          ctx_.endpoint.post(treeChild(k), kBarrRelease,
+                             Bytes(d.payload.begin(), d.payload.end()), when);
       }
       auto it = barrier_waiters_.find(rel.barrier);
       VODSM_CHECK_MSG(it != barrier_waiters_.end(),
@@ -334,20 +334,7 @@ sim::Task<void> LrcRuntime::readFault(mem::PageId p) {
 
 void LrcRuntime::onDiffReq(const DiffReqMsg& m, const net::ReplyToken& token,
                            sim::Time arrive) {
-  auto it = diff_log_.find(m.page);
-  VODSM_CHECK_MSG(it != diff_log_.end(),
-                  "diff request for page " << m.page << " with no diffs");
-  DiffRespMsg resp;
-  for (uint32_t want : m.interval_indices) {
-    auto dit = std::lower_bound(
-        it->second.begin(), it->second.end(), want,
-        [](const auto& e, uint32_t v) { return e.first < v; });
-    VODSM_CHECK_MSG(dit != it->second.end() && dit->first == want,
-                    "missing diff for page " << m.page << " interval "
-                                             << want);
-    resp.diffs.emplace_back(want, dit->second);
-  }
-  ctx_.endpoint.reply(token, kDiffResp, resp.encode(),
+  ctx_.endpoint.reply(token, kDiffResp, DiffRespMsg::encode(diff_log_, m),
                       arrive + ctx_.costs.handler_service);
 }
 

@@ -107,9 +107,7 @@ class LrcRuntime : public Runtime {
   // page -> pending write notices (diffs not yet fetched)
   std::unordered_map<mem::PageId, std::vector<mem::WriteNotice>> pending_;
   // own diffs: page -> (interval index, diff), ascending
-  std::unordered_map<mem::PageId,
-                     std::vector<std::pair<uint32_t, mem::Diff>>>
-      diff_log_;
+  DiffLog diff_log_;
 
   std::unordered_map<LockId, LockState> locks_;
   std::unordered_map<LockId, std::unique_ptr<sim::Waiter<LockGrantMsg>>>

@@ -4,6 +4,8 @@
 // the statistics tables are the real encoded sizes.
 #pragma once
 
+#include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include "dsm/types.hpp"
@@ -141,19 +143,40 @@ struct DiffReqMsg {
   }
 };
 
+// A writer's own diffs: page -> (ordering key, diff), ascending by key.
+using DiffLog =
+    std::unordered_map<mem::PageId,
+                       std::vector<std::pair<uint32_t, mem::Diff>>>;
+
 struct DiffRespMsg {
   // (ordering key, diff) pairs; the key is the writer interval index (LRC)
   // or the view version (VC_d).
   std::vector<std::pair<uint32_t, mem::Diff>> diffs;
 
-  Bytes encode() const {
+  // Answers `req` straight from the writer's diff log, serializing each
+  // requested diff in place instead of copying it into a DiffRespMsg.
+  static Bytes encode(const DiffLog& log, const DiffReqMsg& req) {
+    auto it = log.find(req.page);
+    VODSM_CHECK_MSG(it != log.end(),
+                    "diff request for page " << req.page << " with no diffs");
+    std::vector<std::pair<uint32_t, const mem::Diff*>> found;
+    found.reserve(req.interval_indices.size());
     size_t total = 4;
-    for (const auto& [key, d] : diffs) total += 4 + d.wireSize();
+    for (uint32_t want : req.interval_indices) {
+      auto dit = std::lower_bound(
+          it->second.begin(), it->second.end(), want,
+          [](const auto& e, uint32_t v) { return e.first < v; });
+      VODSM_CHECK_MSG(dit != it->second.end() && dit->first == want,
+                      "missing diff for page " << req.page << " key "
+                                               << want);
+      found.emplace_back(want, &dit->second);
+      total += 4 + dit->second.wireSize();
+    }
     Writer w(total);
-    w.u32(static_cast<uint32_t>(diffs.size()));
-    for (const auto& [key, d] : diffs) {
+    w.u32(static_cast<uint32_t>(found.size()));
+    for (const auto& [key, d] : found) {
       w.u32(key);
-      d.serialize(w);
+      d->serialize(w);
     }
     return w.take();
   }

@@ -62,8 +62,8 @@ void VcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
       if (ctx_.proto.barrier == BarrierAlg::kTree) {
         const sim::Time when = d.arrive + ctx_.costs.handler_service;
         for (int k = 0; k < treeChildCount(); ++k)
-          ctx_.endpoint.post(treeChild(k), kBarrRelease, Bytes(d.payload),
-                             when);
+          ctx_.endpoint.post(treeChild(k), kBarrRelease,
+                             Bytes(d.payload.begin(), d.payload.end()), when);
       }
       auto it = barrier_waiters_.find(rel.barrier);
       VODSM_CHECK_MSG(it != barrier_waiters_.end(),
@@ -565,20 +565,7 @@ sim::Task<void> VcRuntime::readFault(mem::PageId p) {
 
 void VcRuntime::onVcDiffReq(const DiffReqMsg& m, const net::ReplyToken& token,
                             sim::Time arrive) {
-  auto it = diff_log_.find(m.page);
-  VODSM_CHECK_MSG(it != diff_log_.end(),
-                  "VC diff request for page " << m.page << " with no diffs");
-  DiffRespMsg resp;
-  for (uint32_t want : m.interval_indices) {
-    auto dit = std::lower_bound(
-        it->second.begin(), it->second.end(), want,
-        [](const auto& e, uint32_t v) { return e.first < v; });
-    VODSM_CHECK_MSG(dit != it->second.end() && dit->first == want,
-                    "missing VC diff for page " << m.page << " version "
-                                                << want);
-    resp.diffs.emplace_back(want, dit->second);
-  }
-  ctx_.endpoint.reply(token, kVcDiffResp, resp.encode(),
+  ctx_.endpoint.reply(token, kVcDiffResp, DiffRespMsg::encode(diff_log_, m),
                       arrive + ctx_.costs.handler_service);
 }
 

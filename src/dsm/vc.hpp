@@ -142,9 +142,7 @@ class VcRuntime : public Runtime {
   std::set<mem::PageId> dirty_;
   // VC_d: pending notices per page and own diff log for serving fetches.
   std::unordered_map<mem::PageId, std::vector<VcNotice>> pending_;
-  std::unordered_map<mem::PageId,
-                     std::vector<std::pair<uint32_t, mem::Diff>>>
-      diff_log_;
+  DiffLog diff_log_;
 
   std::unordered_map<ViewId, std::unique_ptr<sim::Waiter<ViewGrantMsg>>>
       grant_waiters_;

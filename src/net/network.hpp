@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -40,29 +41,54 @@
 
 namespace vodsm::net {
 
+// One wire frame: an immutable, reference-counted byte buffer. The network,
+// the sender's retransmit state, switch duplicates, retransmissions and the
+// receiver's delivery all share one buffer instead of copying it; a frame is
+// freed when its last copy (in flight or held) goes away.
+//
+// `reply` is a host-only slot, never on the wire and never counted in the
+// frame's size: a responder parks its answer to a request frame there, so
+// every later copy of that request (a retransmission or a switch duplicate)
+// finds the reply and resends it without re-running the handler. The slot
+// is written and read only in the responder's lane.
+struct FrameData;
+using Frame = std::shared_ptr<const FrameData>;
+struct FrameData {
+  Bytes bytes;
+  mutable Frame reply;
+
+  size_t size() const { return bytes.size(); }
+};
+
+inline Frame makeFrame(Bytes bytes) {
+  return std::make_shared<FrameData>(FrameData{std::move(bytes), {}});
+}
+
 // Frame-header peeking. The layout is owned by the transport's encode()
 // (kind u8, seq u64 LE, type u16 LE, length-prefixed blob); the network
 // reads it only to attribute drops per message class and to derive wire
 // correlation ids — frames stay opaque otherwise. Pure-ack frames are
 // header-only (kind + seq) and carry no message type.
-inline uint8_t frameKind(const Bytes& frame) {
-  return std::to_integer<uint8_t>(frame[0]);
+inline uint8_t frameKind(const Frame& frame) {
+  return std::to_integer<uint8_t>(frame->bytes[0]);
 }
-inline uint64_t frameSeq(const Bytes& frame) {
+inline uint64_t frameSeq(const Frame& frame) {
   uint64_t v = 0;
   for (int i = 7; i >= 0; --i)
-    v = (v << 8) | std::to_integer<uint64_t>(frame[static_cast<size_t>(1 + i)]);
+    v = (v << 8) |
+        std::to_integer<uint64_t>(frame->bytes[static_cast<size_t>(1 + i)]);
   return v;
 }
-inline uint16_t frameMsgType(const Bytes& frame) {
-  return static_cast<uint16_t>(std::to_integer<uint16_t>(frame[9]) |
-                               (std::to_integer<uint16_t>(frame[10]) << 8));
+inline uint16_t frameMsgType(const Frame& frame) {
+  return static_cast<uint16_t>(std::to_integer<uint16_t>(frame->bytes[9]) |
+                               (std::to_integer<uint16_t>(frame->bytes[10])
+                                << 8));
 }
 
 // The node whose sequence-number space `frame` belongs to: replies and acks
 // quote the original requester's sequence number, everything else uses the
 // sender's own. (send-side view: src is the frame's sender, dst its target.)
-inline NodeId frameSeqOwner(const Bytes& frame, NodeId src, NodeId dst) {
+inline NodeId frameSeqOwner(const Frame& frame, NodeId src, NodeId dst) {
   const auto k = static_cast<FrameKind>(frameKind(frame));
   return (k == FrameKind::kReply || k == FrameKind::kAck) ? dst : src;
 }
@@ -72,7 +98,7 @@ class Network {
   // Called when a frame clears the receiver's software stack.
   // `arrive` is the time the payload is available to the node.
   using DeliverFn =
-      std::function<void(NodeId src, Bytes frame, sim::Time arrive)>;
+      std::function<void(NodeId src, Frame frame, sim::Time arrive)>;
 
   Network(sim::Engine& engine, int n_nodes, NetConfig config, uint64_t seed)
       : engine_(engine),
@@ -179,7 +205,7 @@ class Network {
   // Inject a frame from src to dst no earlier than `earliest` (typically the
   // sender's local clock). The caller has already decided the frame is worth
   // counting; this layer only counts frame/wire statistics.
-  void send(NodeId src, NodeId dst, Bytes frame, sim::Time earliest) {
+  void send(NodeId src, NodeId dst, Frame frame, sim::Time earliest) {
     VODSM_CHECK(src < ports_.size() && dst < ports_.size());
     VODSM_CHECK_MSG(src != dst, "loopback frames never reach the wire");
     sim::Time start = std::max(earliest, engine_.now());
@@ -230,18 +256,18 @@ class Network {
     return nleaves_ > 1 && leafOf(src) != leafOf(dst);
   }
 
-  void startUplink(NodeId src, NodeId dst, Bytes frame) {
+  void startUplink(NodeId src, NodeId dst, Frame frame) {
     const sim::Time now = engine_.now();
     Port& p = port(src);
-    const sim::Time tx = config_.txTime(frame.size());
-    const sim::Time depart = std::max(now + config_.sendOverhead(frame.size()),
+    const sim::Time tx = config_.txTime(frame->size());
+    const sim::Time depart = std::max(now + config_.sendOverhead(frame->size()),
                                       p.uplink_busy_until);
     p.uplink_busy_until = depart + tx;
     statsFor(src).frames_sent++;
-    statsFor(src).wire_bytes += config_.wireBytes(frame.size());
+    statsFor(src).wire_bytes += config_.wireBytes(frame->size());
     if (auto* m = metrics_) {
       m->add(src, obs::Metric::kInflightBytes,
-             static_cast<int64_t>(frame.size()), now);
+             static_cast<int64_t>(frame->size()), now);
       m->add(src, obs::Metric::kUplinkBusyNs, tx, now);
     }
     // Cross-lane hop: everything from the switch on happens in the
@@ -278,10 +304,10 @@ class Network {
   // Runs in rep(leaf(src))'s lane: serialize onto the chosen up-trunk, then
   // hop to the destination leaf's rep lane. The post lands at least
   // trunkTxTime(0) + trunk_latency ahead, within the lookahead contract.
-  void trunkUp(NodeId src, NodeId dst, Bytes frame) {
+  void trunkUp(NodeId src, NodeId dst, Frame frame) {
     Trunk& t = trunks_[static_cast<size_t>(leafOf(src))]
                    .up[static_cast<size_t>(spineFor(src, dst))];
-    const sim::Time clear = trunkHop(t, frame.size());
+    const sim::Time clear = trunkHop(t, frame->size());
     engine_.atLane(repOf(leafOf(dst)), clear + config_.topology.trunk_latency,
                    [this, src, dst, f = std::move(frame)]() mutable {
                      trunkDown(src, dst, std::move(f));
@@ -290,10 +316,10 @@ class Network {
 
   // Runs in rep(leaf(dst))'s lane: serialize onto the spine's down-trunk,
   // then rejoin the star path at the destination's switch port.
-  void trunkDown(NodeId src, NodeId dst, Bytes frame) {
+  void trunkDown(NodeId src, NodeId dst, Frame frame) {
     Trunk& t = trunks_[static_cast<size_t>(leafOf(dst))]
                    .down[static_cast<size_t>(spineFor(src, dst))];
-    const sim::Time clear = trunkHop(t, frame.size());
+    const sim::Time clear = trunkHop(t, frame->size());
     engine_.atLane(dst, clear + config_.topology.trunk_latency,
                    [this, src, dst, f = std::move(frame)]() mutable {
                      arriveSwitch(src, dst, std::move(f));
@@ -304,7 +330,7 @@ class Network {
   // kDrop trace instant, charged to the would-be receiver. The correlation
   // id carries the frame kind, so consumers can attribute the drop to the
   // same flow as the original send.
-  void recordDrop(NodeId src, NodeId dst, const Bytes& frame) {
+  void recordDrop(NodeId src, NodeId dst, const Frame& frame) {
     if (static_cast<FrameKind>(frameKind(frame)) == FrameKind::kAck) {
       statsFor(dst).ack_drops++;
     } else {
@@ -314,13 +340,13 @@ class Network {
     }
     if (trace_)
       trace_->instant(static_cast<uint32_t>(dst), obs::Cat::kDrop,
-                      engine_.now(), src, frame.size(),
+                      engine_.now(), src, frame->size(),
                       obs::corrId(frameKind(frame),
                                   frameSeqOwner(frame, src, dst),
                                   frameSeq(frame)));
     if (auto* m = metrics_) {
       m->add(src, obs::Metric::kInflightBytes,
-             -static_cast<int64_t>(frame.size()), engine_.now());
+             -static_cast<int64_t>(frame->size()), engine_.now());
       m->add(dst, obs::Metric::kFrameDrops, 1, engine_.now());
     }
   }
@@ -328,16 +354,16 @@ class Network {
   // Fault instants share the frame's correlation id, so injected drops,
   // duplicates, and delays join the same flow as the frame in Perfetto and
   // in the run graph.
-  void traceFault(FaultKind k, NodeId src, NodeId dst, const Bytes& frame) {
+  void traceFault(FaultKind k, NodeId src, NodeId dst, const Frame& frame) {
     if (trace_)
       trace_->instant(static_cast<uint32_t>(dst), obs::Cat::kFaultInject,
-                      engine_.now(), static_cast<uint64_t>(k), frame.size(),
+                      engine_.now(), static_cast<uint64_t>(k), frame->size(),
                       obs::corrId(frameKind(frame),
                                   frameSeqOwner(frame, src, dst),
                                   frameSeq(frame)));
   }
 
-  void arriveSwitch(NodeId src, NodeId dst, Bytes frame) {
+  void arriveSwitch(NodeId src, NodeId dst, Frame frame) {
     FaultAction fault;
     if (faults_) {
       fault = faults_->onFrame(src, dst, engine_.now());
@@ -354,7 +380,7 @@ class Network {
       return;
     }
     Port& p = port(dst);
-    sim::Time tx = config_.txTime(frame.size());
+    sim::Time tx = config_.txTime(frame->size());
     if (fault.degraded) {
       statsFor(dst).frames_degraded++;
       tx = static_cast<sim::Time>(
@@ -378,25 +404,24 @@ class Network {
       // +in-flight here, -in-flight at its delivery or drop.
       statsFor(dst).frames_duplicated++;
       traceFault(FaultKind::kDup, src, dst, frame);
-      Bytes copy = frame;
       const sim::Time start2 = p.downlink_busy_until;
       p.downlink_busy_until = start2 + tx;
       if (auto* m = metrics_) {
         m->add(src, obs::Metric::kInflightBytes,
-               static_cast<int64_t>(copy.size()), engine_.now());
+               static_cast<int64_t>(frame->size()), engine_.now());
         m->add(dst, obs::Metric::kDownlinkBusyNs, tx, engine_.now());
       }
-      engine_.at(start2 + tx,
-                 [this, src, dst, f = std::move(copy)]() mutable {
-                   arriveNic(src, dst, std::move(f));
-                 });
+      // The copy shares the original's buffer, reply slot included.
+      engine_.at(start2 + tx, [this, src, dst, f = frame]() mutable {
+        arriveNic(src, dst, std::move(f));
+      });
     }
     engine_.at(start + tx, [this, src, dst, f = std::move(frame)]() mutable {
       arriveNic(src, dst, std::move(f));
     });
   }
 
-  void arriveNic(NodeId src, NodeId dst, Bytes frame) {
+  void arriveNic(NodeId src, NodeId dst, Frame frame) {
     Port& p = port(dst);
     if (p.rx_queue_depth >= config_.rx_queue_frames) {
       statsFor(dst).frames_dropped_overflow++;
@@ -407,10 +432,10 @@ class Network {
     if (auto* m = metrics_) {
       m->add(dst, obs::Metric::kRxQueueFrames, 1, engine_.now());
       m->add(dst, obs::Metric::kRxQueueBytes,
-             static_cast<int64_t>(frame.size()), engine_.now());
+             static_cast<int64_t>(frame->size()), engine_.now());
     }
     const sim::Time start = std::max(engine_.now(), p.rx_busy_until);
-    const sim::Time done = start + config_.recvOverhead(frame.size());
+    const sim::Time done = start + config_.recvOverhead(frame->size());
     p.rx_busy_until = done;
     engine_.at(done, [this, src, dst, f = std::move(frame)]() mutable {
       Port& q = port(dst);
@@ -419,9 +444,9 @@ class Network {
       if (auto* m = metrics_) {
         m->add(dst, obs::Metric::kRxQueueFrames, -1, engine_.now());
         m->add(dst, obs::Metric::kRxQueueBytes,
-               -static_cast<int64_t>(f.size()), engine_.now());
+               -static_cast<int64_t>(f->size()), engine_.now());
         m->add(src, obs::Metric::kInflightBytes,
-               -static_cast<int64_t>(f.size()), engine_.now());
+               -static_cast<int64_t>(f->size()), engine_.now());
       }
       if (q.deliver) q.deliver(src, std::move(f), engine_.now());
     });

@@ -9,15 +9,19 @@
 //  * request() — RPC with bounded service time (diff fetches, notice
 //                fetches). The reply acts as the acknowledgement: the sender
 //                retransmits the request on timeout, and the responder
-//                caches its reply so a duplicate request is answered by a
-//                resend instead of re-execution (at-most-once processing).
+//                parks its reply in the request frame's host-only slot, so
+//                a duplicate request (a retransmission or a switch
+//                duplicate: both are copies of that same frame) is answered
+//                by a resend instead of re-execution (at-most-once
+//                processing). The reply is freed with the last copy of its
+//                request: once the requester has completed and nothing is
+//                in flight.
 //
 // Duplicate suppression uses per-sender sequence numbers with a watermark +
 // sparse-set tracker. Self-addressed messages bypass the wire (and the
 // statistics) entirely, modeling intra-node manager access.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -30,23 +34,29 @@
 
 namespace vodsm::net {
 
+// `payload` is a view into `frame`, which keeps it alive.
 struct Delivery {
   NodeId src = 0;
   uint16_t type = 0;
-  Bytes payload;
+  ByteSpan payload;
   sim::Time arrive = 0;
+  Frame frame;
 };
 
-// Identifies a request so a handler can answer it (possibly later).
+// Identifies a request so a handler can answer it (possibly later). Holds
+// the request frame, where reply() parks the answer.
 struct ReplyToken {
   NodeId requester = 0;
   uint64_t seq = 0;
+  Frame request;
 };
 
+// `payload` is a view into the reply `frame`, which keeps it alive.
 struct RpcResult {
   uint16_t type = 0;
-  Bytes payload;
+  ByteSpan payload;
   sim::Time arrive = 0;
+  Frame frame;
 };
 
 // Tracks which sequence numbers from one peer have been processed.
@@ -79,7 +89,7 @@ class Endpoint {
         network_(network),
         self_(self),
         local_delivery_(local_delivery) {
-    network_.setDeliver(self_, [this](NodeId src, Bytes frame,
+    network_.setDeliver(self_, [this](NodeId src, Frame frame,
                                       sim::Time arrive) {
       onFrame(src, std::move(frame), arrive, /*via_wire=*/true);
     });
@@ -103,7 +113,7 @@ class Endpoint {
   // Reliable one-way message, leaving the node no earlier than `earliest`.
   void post(NodeId dst, uint16_t type, Bytes payload, sim::Time earliest) {
     const uint64_t seq = next_seq_++;
-    Bytes frame = encode(FrameKind::kData, seq, type, payload);
+    Frame frame = encode(FrameKind::kData, seq, type, payload);
     if (dst == self_) {
       sendLocal(std::move(frame), earliest);
       return;
@@ -121,13 +131,13 @@ class Endpoint {
   sim::Task<RpcResult> request(NodeId dst, uint16_t type, Bytes payload,
                                sim::Time earliest) {
     const uint64_t seq = next_seq_++;
-    Bytes frame = encode(FrameKind::kRequest, seq, type, payload);
+    Frame frame = encode(FrameKind::kRequest, seq, type, payload);
     auto pending = std::make_unique<PendingRpc>();
     PendingRpc* p = pending.get();
     pending_rpcs_.emplace(seq, std::move(pending));
     if (dst == self_) {
-      // Self-addressed requests are never retransmitted, so the frame can be
-      // moved straight into local delivery instead of copied.
+      // Self-addressed requests are never retransmitted: nothing here keeps
+      // the frame.
       sendLocal(std::move(frame), earliest);
     } else {
       countSend(type, payload.size());
@@ -146,15 +156,16 @@ class Endpoint {
 
   // Answer a request identified by `token`. May be called from the handler
   // or later (the requester keeps retransmitting until it sees the reply, so
-  // replies should not be deferred past ~RTO).
+  // replies should not be deferred past ~RTO). The reply is parked in the
+  // request frame for duplicates of that request to find.
   void reply(const ReplyToken& token, uint16_t type, Bytes payload,
              sim::Time earliest) {
-    Bytes frame = encode(FrameKind::kReply, token.seq, type, payload);
+    Frame frame = encode(FrameKind::kReply, token.seq, type, payload);
     if (token.requester == self_) {
       sendLocal(std::move(frame), earliest);
       return;
     }
-    cacheReply(token.requester, token.seq, frame);
+    token.request->reply = frame;
     countSend(type, payload.size());
     traceSend(type, payload.size(), earliest,
               obs::corrId(static_cast<uint8_t>(FrameKind::kReply),
@@ -169,25 +180,24 @@ class Endpoint {
  private:
   struct Pending {
     NodeId dst = 0;
-    Bytes frame;
+    Frame frame;
     uint64_t epoch = 0;  // bumped on completion to invalidate timers
-    bool done = false;
   };
   struct PendingRpc {
     NodeId dst = 0;
-    Bytes frame;
+    Frame frame;
     uint64_t epoch = 0;
     sim::Waiter<RpcResult> waiter;
   };
 
-  static Bytes encode(FrameKind kind, uint64_t seq, uint16_t type,
+  static Frame encode(FrameKind kind, uint64_t seq, uint16_t type,
                       ByteSpan payload) {
     Writer w(payload.size() + 16);
     w.u8(static_cast<uint8_t>(kind));
     w.u64(seq);
     w.u16(type);
     w.blob(payload);
-    return w.take();
+    return makeFrame(w.take());
   }
 
   MsgClass classify(uint16_t type) const {
@@ -215,7 +225,7 @@ class Endpoint {
   // that class separately so hot spots under loss are visible. `dst` is the
   // frame's target, needed to recover the sequence-number owner for the
   // correlation id (replies quote the requester's sequence space).
-  void countRetransmit(const Bytes& frame, NodeId dst) {
+  void countRetransmit(const Frame& frame, NodeId dst) {
     const uint16_t type = frameMsgType(frame);
     stats().retransmissions++;
     stats().of(classify(type)).retransmissions++;
@@ -230,7 +240,7 @@ class Endpoint {
                                   frameSeq(frame)));
   }
 
-  void sendLocal(Bytes frame, sim::Time earliest) {
+  void sendLocal(Frame frame, sim::Time earliest) {
     sim::Time at = std::max(earliest + local_delivery_, engine_.now());
     engine_.at(at, [this, f = std::move(frame)]() mutable {
       onFrame(self_, std::move(f), engine_.now(), /*via_wire=*/false);
@@ -242,8 +252,7 @@ class Endpoint {
       auto it = pending_posts_.find(seq);
       if (it == pending_posts_.end() || it->second.epoch != epoch) return;
       countRetransmit(it->second.frame, it->second.dst);
-      network_.send(self_, it->second.dst, Bytes(it->second.frame),
-                    engine_.now());
+      network_.send(self_, it->second.dst, it->second.frame, engine_.now());
       armPostTimer(seq, epoch);
     });
   }
@@ -253,24 +262,23 @@ class Endpoint {
       auto it = pending_rpcs_.find(seq);
       if (it == pending_rpcs_.end() || it->second->epoch != epoch) return;
       countRetransmit(it->second->frame, it->second->dst);
-      network_.send(self_, it->second->dst, Bytes(it->second->frame),
-                    engine_.now());
+      network_.send(self_, it->second->dst, it->second->frame, engine_.now());
       armRpcTimer(seq, epoch);
     });
   }
 
-  static size_t payloadSize(const Bytes& frame) {
+  static size_t payloadSize(const Frame& frame) {
     // Header is kind(1) + seq(8) + type(2) + blob length(4).
-    return frame.size() - 15;
+    return frame->size() - 15;
   }
 
-  void onFrame(NodeId src, Bytes frame, sim::Time arrive, bool via_wire) {
-    Reader r(frame);
+  void onFrame(NodeId src, Frame frame, sim::Time arrive, bool via_wire) {
+    Reader r(frame->bytes);
     const auto kind = static_cast<FrameKind>(r.u8());
     const uint64_t seq = r.u64();
     if (trace_ && via_wire)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kDeliver, arrive,
-                      static_cast<uint64_t>(kind), frame.size(),
+                      static_cast<uint64_t>(kind), frame->size(),
                       obs::corrId(static_cast<uint8_t>(kind),
                                   frameSeqOwner(frame, src, self_), seq));
     switch (kind) {
@@ -289,8 +297,7 @@ class Endpoint {
         p.epoch++;
         const uint16_t type = r.u16();
         ByteSpan payload = r.blob();
-        p.waiter.fulfill(
-            RpcResult{type, Bytes(payload.begin(), payload.end()), arrive});
+        p.waiter.fulfill(RpcResult{type, payload, arrive, std::move(frame)});
         return;
       }
       case FrameKind::kData: {
@@ -298,51 +305,35 @@ class Endpoint {
         if (!seen_[src].markSeen(seq)) return;  // duplicate
         const uint16_t type = r.u16();
         ByteSpan payload = r.blob();
-        dispatch(src, type, payload, arrive, ReplyToken{});
+        dispatch(Delivery{src, type, payload, arrive, std::move(frame)},
+                 ReplyToken{});
         return;
       }
       case FrameKind::kRequest: {
         if (!seen_[src].markSeen(seq)) {
-          // Duplicate request: resend the cached reply if we already
-          // answered; otherwise the original is still being processed and
-          // the requester's next timeout will retry.
-          auto cit = reply_cache_.find(src);
-          if (cit != reply_cache_.end()) {
-            auto rit = cit->second.find(seq);
-            if (rit != cit->second.end() && via_wire) {
-              countRetransmit(rit->second, src);
-              network_.send(self_, src, Bytes(rit->second), engine_.now());
-            }
+          // Duplicate request: a copy of the original frame. Resend the
+          // reply parked in it if we already answered; otherwise the
+          // original is still being processed and the requester's next
+          // timeout will retry.
+          if (frame->reply && via_wire) {
+            countRetransmit(frame->reply, src);
+            network_.send(self_, src, frame->reply, engine_.now());
           }
           return;
         }
         const uint16_t type = r.u16();
         ByteSpan payload = r.blob();
-        dispatch(src, type, payload, arrive, ReplyToken{src, seq});
+        ReplyToken token{src, seq, frame};
+        dispatch(Delivery{src, type, payload, arrive, std::move(frame)},
+                 token);
         return;
       }
     }
   }
 
-  void dispatch(NodeId src, uint16_t type, ByteSpan payload, sim::Time arrive,
-                const ReplyToken& token) {
+  void dispatch(Delivery&& d, const ReplyToken& token) {
     VODSM_CHECK_MSG(handler_, "no handler installed on endpoint");
-    handler_(Delivery{src, type, Bytes(payload.begin(), payload.end()), arrive},
-             token);
-  }
-
-  // Keep only the most recent replies per requester: a requester
-  // retransmits within ~RTO of the original, so old entries are dead.
-  void cacheReply(NodeId requester, uint64_t seq, Bytes frame) {
-    static constexpr size_t kMaxCached = 64;
-    auto& cache = reply_cache_[requester];
-    auto& order = reply_order_[requester];
-    cache[seq] = std::move(frame);
-    order.push_back(seq);
-    while (order.size() > kMaxCached) {
-      cache.erase(order.front());
-      order.pop_front();
-    }
+    handler_(std::move(d), token);
   }
 
   void sendAck(NodeId src, uint64_t seq) {
@@ -358,7 +349,7 @@ class Endpoint {
                       engine_.now(), 0, 0,
                       obs::corrId(static_cast<uint8_t>(FrameKind::kAck), src,
                                   seq));
-    network_.send(self_, src, w.take(), engine_.now());
+    network_.send(self_, src, makeFrame(w.take()), engine_.now());
   }
 
   sim::Engine& engine_;
@@ -372,8 +363,6 @@ class Endpoint {
   std::unordered_map<uint64_t, Pending> pending_posts_;
   std::unordered_map<uint64_t, std::unique_ptr<PendingRpc>> pending_rpcs_;
   std::unordered_map<NodeId, SeqTracker> seen_;
-  std::unordered_map<NodeId, std::unordered_map<uint64_t, Bytes>> reply_cache_;
-  std::unordered_map<NodeId, std::deque<uint64_t>> reply_order_;
 };
 
 }  // namespace vodsm::net

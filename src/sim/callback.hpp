@@ -2,10 +2,11 @@
 // event callbacks.
 //
 // Every scheduling site in the simulator captures at most `this` plus a few
-// ids or one Bytes buffer (~40 bytes), so the common case stores the functor
-// inline in the event node and scheduling an event performs no heap
-// allocation at all (std::function's ~64-byte captures still allocate on
-// libstdc++). Larger captures fall back to a single heap cell.
+// ids or one 16-byte net::Frame handle (32 bytes for a network hop), so the
+// common case stores the functor inline in the event node and scheduling an
+// event performs no heap allocation at all (std::function's ~64-byte
+// captures still allocate on libstdc++). Larger captures fall back to a
+// single heap cell.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +19,8 @@ namespace vodsm::sim {
 class Callback {
  public:
   // Fits the largest capture the sim/net layers schedule (this + two ids +
-  // one std::vector); raising it only trades event-node size for heap hits.
+  // one frame handle, with room to spare); raising it only trades event-node
+  // size for heap hits.
   static constexpr size_t kInlineBytes = 48;
 
   Callback() = default;

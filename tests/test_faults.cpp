@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -264,8 +265,8 @@ TEST(FaultTransport, DroppedReplyIsServedFromReplyCache) {
   int served = 0;
   p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
     served++;
-    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), Bytes(d.payload),
-              d.arrive);
+    p.b.reply(tok, static_cast<uint16_t>(d.type + 1),
+              Bytes(d.payload.begin(), d.payload.end()), d.arrive);
   });
   int completed = 0;
   sim::spawn([](Endpoint& ep, int& done) -> sim::Task<void> {
@@ -275,11 +276,59 @@ TEST(FaultTransport, DroppedReplyIsServedFromReplyCache) {
   }(p.a, completed));
   p.engine.run();
   EXPECT_EQ(completed, 1);
-  EXPECT_EQ(served, 1);  // handler never re-runs; the cache answers
+  EXPECT_EQ(served, 1);  // handler never re-runs; the parked reply answers
   EXPECT_EQ(p.net.stats().frames_dropped_fault, 1u);
   // Two resends: the requester repeats the request, the responder replays
-  // the cached reply.
+  // the reply parked in it.
   EXPECT_EQ(p.net.stats().retransmissions, 2u);
+}
+
+TEST(FaultTransport, DroppedReplyIsServedUnderManyConcurrentRequests) {
+  Pair p(fastRto());
+  // The first of 70 replies is lost. By the time its request is resent,
+  // the other 69 have been answered; the lost one must still be replayed.
+  FaultInjector inj(parseFaultPlan("burst:from=1,to=0,count=1"), 1, 2);
+  p.net.setFaults(&inj);
+  int served = 0;
+  p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
+    served++;
+    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), Bytes(8), d.arrive);
+  });
+  int completed = 0;
+  for (int i = 0; i < 70; ++i) {
+    sim::spawn([](Endpoint& ep, int& done) -> sim::Task<void> {
+      co_await ep.request(1, 5, Bytes(8), 0);
+      done++;
+    }(p.a, completed));
+  }
+  // A lost reply that cannot be replayed retries forever, so bound the run.
+  while (p.engine.now() < sim::msec(500) && p.engine.step()) {
+  }
+  EXPECT_EQ(completed, 70);
+  EXPECT_EQ(served, 70);
+}
+
+TEST(FaultTransport, ReplyIsFreedWithItsRequest) {
+  Pair p;
+  std::weak_ptr<const FrameData> request;
+  std::weak_ptr<const FrameData> reply;
+  bool parked = false;
+  p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
+    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), Bytes(64), d.arrive);
+    parked = tok.request && tok.request->reply;
+    request = tok.request;
+    reply = tok.request->reply;
+  });
+  int completed = 0;
+  sim::spawn([](Endpoint& ep, int& done) -> sim::Task<void> {
+    co_await ep.request(1, 5, Bytes(64), 0);
+    done++;
+  }(p.a, completed));
+  p.engine.run();
+  EXPECT_EQ(completed, 1);
+  EXPECT_TRUE(parked);
+  EXPECT_TRUE(request.expired());
+  EXPECT_TRUE(reply.expired());
 }
 
 TEST(FaultTransport, PartitionWindowYieldsExactRetransmitCount) {

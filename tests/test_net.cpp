@@ -28,12 +28,12 @@ TEST(Network, DeliversWithLatencyAndBandwidth) {
   NetConfig cfg;
   Network net(e, 2, cfg, 1);
   sim::Time delivered_at = -1;
-  net.setDeliver(1, [&](NodeId src, Bytes frame, sim::Time t) {
+  net.setDeliver(1, [&](NodeId src, Frame frame, sim::Time t) {
     EXPECT_EQ(src, 0u);
-    EXPECT_EQ(frame.size(), 1000u);
+    EXPECT_EQ(frame->size(), 1000u);
     delivered_at = t;
   });
-  net.send(0, 1, Bytes(1000), 0);
+  net.send(0, 1, makeFrame(Bytes(1000)), 0);
   e.run();
   // send overhead + uplink tx + latency + downlink tx + recv service.
   sim::Time expect = cfg.sendOverhead(1000) + 2 * cfg.txTime(1000) +
@@ -47,10 +47,10 @@ TEST(Network, UplinkSerializesBackToBackSends) {
   NetConfig cfg;
   Network net(e, 3, cfg, 1);
   std::vector<sim::Time> arrivals;
-  net.setDeliver(1, [&](NodeId, Bytes, sim::Time t) { arrivals.push_back(t); });
-  net.setDeliver(2, [&](NodeId, Bytes, sim::Time t) { arrivals.push_back(t); });
-  net.send(0, 1, Bytes(10000), 0);
-  net.send(0, 2, Bytes(10000), 0);
+  net.setDeliver(1, [&](NodeId, Frame, sim::Time t) { arrivals.push_back(t); });
+  net.setDeliver(2, [&](NodeId, Frame, sim::Time t) { arrivals.push_back(t); });
+  net.send(0, 1, makeFrame(Bytes(10000)), 0);
+  net.send(0, 2, makeFrame(Bytes(10000)), 0);
   e.run();
   ASSERT_EQ(arrivals.size(), 2u);
   // The second frame waits for the first to clear the shared uplink.
@@ -64,8 +64,9 @@ TEST(Network, RxQueueOverflowDrops) {
   cfg.recv_base = sim::msec(10);  // absurdly slow receiver
   Network net(e, 5, cfg, 1);
   int delivered = 0;
-  net.setDeliver(0, [&](NodeId, Bytes, sim::Time) { delivered++; });
-  for (NodeId src = 1; src < 5; ++src) net.send(src, 0, Bytes(10), 0);
+  net.setDeliver(0, [&](NodeId, Frame, sim::Time) { delivered++; });
+  for (NodeId src = 1; src < 5; ++src)
+    net.send(src, 0, makeFrame(Bytes(10)), 0);
   e.run();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.stats().frames_dropped_overflow, 2u);
@@ -77,9 +78,9 @@ TEST(Network, RandomLossDropsProportionally) {
   cfg.random_loss = 0.5;
   Network net(e, 2, cfg, 99);
   int delivered = 0;
-  net.setDeliver(1, [&](NodeId, Bytes, sim::Time) { delivered++; });
+  net.setDeliver(1, [&](NodeId, Frame, sim::Time) { delivered++; });
   for (int i = 0; i < 200; ++i)
-    net.send(0, 1, Bytes(10), sim::msec(i));
+    net.send(0, 1, makeFrame(Bytes(10)), sim::msec(i));
   e.run();
   EXPECT_GT(delivered, 50);
   EXPECT_LT(delivered, 150);
@@ -142,8 +143,8 @@ TEST(Transport, RequestReplySurvivesLoss) {
   int served = 0;
   p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
     served++;
-    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), Bytes(d.payload),
-              d.arrive);
+    p.b.reply(tok, static_cast<uint16_t>(d.type + 1),
+              Bytes(d.payload.begin(), d.payload.end()), d.arrive);
   });
   int completed = 0;
   for (int i = 0; i < 30; ++i) {
@@ -156,7 +157,7 @@ TEST(Transport, RequestReplySurvivesLoss) {
   }
   p.engine.run();
   EXPECT_EQ(completed, 30);
-  EXPECT_EQ(served, 30);  // reply cache answers duplicate requests
+  EXPECT_EQ(served, 30);  // parked replies answer duplicate requests
 }
 
 TEST(Transport, SelfSendStaysLocal) {
