@@ -1,8 +1,12 @@
 // Microbenchmark: the simulated network's behaviour — one-way message
-// latency and RPC round-trip time versus payload size, and throughput under
-// fan-in. The *simulated* times are the interesting output (reported as
-// counters); host time measures simulator overhead per message.
+// latency and RPC round-trip time versus payload size, throughput under
+// fan-in, and the transport state a fan-out leaves behind. The *simulated*
+// times are the interesting output (reported as counters); host time
+// measures simulator overhead per message.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/transport.hpp"
@@ -86,6 +90,46 @@ void BM_FanIn(benchmark::State& state) {
   state.counters["rexmit"] = static_cast<double>(rexmit);
 }
 BENCHMARK(BM_FanIn)->Arg(4)->Arg(16)->Arg(31);
+
+// One sender posts round-robin to N receivers. Host cost per message, and
+// the transport state held when the last message is delivered: engine
+// events still pending and the receivers' dedup backlog. Both should track
+// the messages in flight (a handful), not the messages sent.
+void BM_FanOut(benchmark::State& state) {
+  const int receivers = static_cast<int>(state.range(0));
+  constexpr int kMessages = 4096;
+  size_t pending = 0;
+  size_t backlog = 0;
+  for (auto _ : state) {
+    sim::Engine e;
+    net::NetConfig cfg;
+    net::Network net(e, receivers + 1, cfg, 1);
+    std::vector<std::unique_ptr<net::Endpoint>> eps;
+    for (int i = 0; i <= receivers; ++i)
+      eps.push_back(std::make_unique<net::Endpoint>(
+          e, net, static_cast<net::NodeId>(i)));
+    int received = 0;
+    for (auto& ep : eps)
+      ep->setHandler([&](net::Delivery&&, const net::ReplyToken&) {
+        if (++received < kMessages) return;
+        pending = e.pending();
+        backlog = 0;
+        for (const auto& r : eps) backlog += r->dedupBacklog();
+      });
+    // Paced below the sender's ack-receive rate: no drops, no retransmits.
+    for (int m = 0; m < kMessages; ++m)
+      eps[0]->post(static_cast<net::NodeId>(1 + m % receivers), 1, Bytes(64),
+                   m * sim::usec(50));
+    e.run();
+    benchmark::DoNotOptimize(received);
+  }
+  state.counters["ns_per_msg"] = benchmark::Counter(
+      kMessages * 1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                            benchmark::Counter::kInvert);
+  state.counters["pending"] = static_cast<double>(pending);
+  state.counters["dedup_backlog"] = static_cast<double>(backlog);
+}
+BENCHMARK(BM_FanOut)->Arg(8)->Arg(64);
 
 }  // namespace
 

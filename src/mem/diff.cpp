@@ -1,6 +1,6 @@
 #include "mem/diff.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cstring>
 
 namespace vodsm::mem {
@@ -52,6 +52,17 @@ void scanPage(ByteSpan current, ByteSpan twin, std::vector<Diff::Run>& runs,
   }
   flush(kPageSize);
 }
+
+// Runs in offset order, pairwise disjoint (adjacent is fine), in the page:
+// what create() and integrate() produce.
+bool sortedRuns(const std::vector<Diff::Run>& runs) {
+  size_t end = 0;
+  for (const Diff::Run& r : runs) {
+    if (r.offset < end) return false;
+    end = static_cast<size_t>(r.offset) + r.length;
+  }
+  return end <= kPageSize;
+}
 }  // namespace
 
 Diff Diff::create(PageId page, ByteSpan current, ByteSpan twin) {
@@ -84,35 +95,55 @@ void Diff::apply(MutByteSpan page_bytes) const {
 
 Diff Diff::integrate(const Diff& older, const Diff& newer) {
   VODSM_CHECK(older.page_ == newer.page_);
-  // Materialize onto a page-sized scratch overlay: correctness over cleverness
-  // (a page is only 4 KB, so this is cheap and obviously right).
-  std::array<std::byte, kPageSize> bytes{};
-  std::array<bool, kPageSize> covered{};
-  auto overlay = [&](const Diff& d) {
-    size_t pos = 0;
-    for (const Run& r : d.runs_) {
-      std::memcpy(bytes.data() + r.offset, d.data_.data() + pos, r.length);
-      std::fill(covered.begin() + r.offset,
-                covered.begin() + r.offset + r.length, true);
-      pos += r.length;
-    }
-  };
-  overlay(older);
-  overlay(newer);
-
+  VODSM_CHECK_MSG(sortedRuns(older.runs_) && sortedRuns(newer.runs_),
+                  "integrate needs sorted, disjoint runs");
+  // Merge the two sorted run lists: every run of `newer` whole, and the
+  // parts of `older`'s runs that fall in the gaps between them. Pieces come
+  // out in offset order and never overlap; a piece that starts where the
+  // last output run ends extends it, so the output runs are the maximal
+  // intervals of the union, exactly as a byte overlay would find them.
   Diff out(older.page_);
-  size_t i = 0;
-  while (i < kPageSize) {
-    if (!covered[i]) {
-      ++i;
-      continue;
+  out.runs_.reserve(older.runs_.size() + newer.runs_.size());
+  out.data_.reserve(older.data_.size() + newer.data_.size());
+  auto emit = [&out](size_t start, const std::byte* src, size_t len) {
+    if (len == 0) return;
+    Run* last = out.runs_.empty() ? nullptr : &out.runs_.back();
+    if (last != nullptr && last->offset + last->length == start) {
+      last->length = static_cast<uint16_t>(last->length + len);
+    } else {
+      out.runs_.push_back(
+          Run{static_cast<uint16_t>(start), static_cast<uint16_t>(len)});
     }
-    size_t start = i;
-    while (i < kPageSize && covered[i]) ++i;
-    out.runs_.push_back(Run{static_cast<uint16_t>(start),
-                            static_cast<uint16_t>(i - start)});
-    out.data_.insert(out.data_.end(), bytes.begin() + start, bytes.begin() + i);
+    out.data_.insert(out.data_.end(), src, src + len);
+  };
+  const std::vector<Run>& o = older.runs_;
+  const std::vector<Run>& n = newer.runs_;
+  size_t i = 0, j = 0;        // next run of older / newer
+  size_t opos = 0, npos = 0;  // data offset of run i / run j
+  size_t done = 0;            // every byte below this is already placed
+  auto emitNewer = [&] {
+    emit(n[j].offset, newer.data_.data() + npos, n[j].length);
+    done = static_cast<size_t>(n[j].offset) + n[j].length;
+    npos += n[j].length;
+    ++j;
+  };
+  while (i < o.size()) {
+    const size_t oend = static_cast<size_t>(o[i].offset) + o[i].length;
+    const size_t ostart = std::max<size_t>(o[i].offset, done);
+    if (ostart >= oend) {  // nothing of run i is left to place
+      opos += o[i].length;
+      ++i;
+    } else if (j < n.size() && n[j].offset <= ostart) {
+      emitNewer();
+    } else {
+      const size_t cut =
+          j < n.size() ? std::min<size_t>(oend, n[j].offset) : oend;
+      emit(ostart, older.data_.data() + opos + (ostart - o[i].offset),
+           cut - ostart);
+      done = cut;
+    }
   }
+  while (j < n.size()) emitNewer();
   return out;
 }
 

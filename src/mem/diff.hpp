@@ -49,7 +49,10 @@ class Diff {
   // Overwrite the covered ranges of `page_bytes` with this diff's data.
   void apply(MutByteSpan page_bytes) const;
 
-  // Equivalent of applying `older` then `newer` to the same base.
+  // Equivalent of applying `older` then `newer` to the same base. Each
+  // input's runs must be in offset order and disjoint, as create() and
+  // integrate() make them; the result's runs are the maximal intervals of
+  // the union, with `newer`'s bytes winning.
   static Diff integrate(const Diff& older, const Diff& newer);
 
   // Bytes this diff occupies in a message (runs table + data + header).

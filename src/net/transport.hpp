@@ -17,15 +17,30 @@
 //                request: once the requester has completed and nothing is
 //                in flight.
 //
-// Duplicate suppression uses per-sender sequence numbers with a watermark +
-// sparse-set tracker. Self-addressed messages bypass the wire (and the
-// statistics) entirely, modeling intra-node manager access.
+// Retransmission timers are cancelled on ack (post) or reply (request), so
+// the engine holds one timer per message in flight, not one per message
+// sent.
+//
+// Duplicate suppression. The 8-byte sequence field of a data or request
+// frame carries two counters: the upper 24 bits count messages from this
+// sender to this receiver, the low 40 bits count every message this sender
+// issued. Acks and replies echo the whole field. The receiver dedupes on the
+// pair counter with a watermark + sparse-set tracker per sender: on a FIFO
+// link the pair counter arrives contiguously, so the watermark advances and
+// the sparse set stays empty; it holds only what loss, reordering or
+// duplication put out of order. The sender-global counter is what trace
+// correlation ids keep (obs::corrId takes the low 40 bits). Overflowing
+// either counter fails a check instead of wrapping.
+//
+// Self-addressed messages bypass the wire (and the statistics) entirely,
+// modeling intra-node manager access.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "net/network.hpp"
 #include "obs/trace.hpp"
@@ -65,6 +80,10 @@ class SeqTracker {
   // Returns true when `seq` is new (and marks it).
   bool markSeen(uint64_t seq) {
     if (seq < watermark_) return false;
+    if (seq == watermark_ && sparse_.empty()) {  // in order: the common case
+      ++watermark_;
+      return true;
+    }
     if (!sparse_.insert(seq).second) return false;
     // Advance the contiguous watermark.
     while (sparse_.count(watermark_)) {
@@ -73,6 +92,9 @@ class SeqTracker {
     }
     return true;
   }
+
+  // Sequence numbers seen past the first gap, still held individually.
+  size_t backlog() const { return sparse_.size(); }
 
  private:
   uint64_t watermark_ = 0;
@@ -88,7 +110,9 @@ class Endpoint {
       : engine_(engine),
         network_(network),
         self_(self),
-        local_delivery_(local_delivery) {
+        local_delivery_(local_delivery),
+        pair_seq_(static_cast<size_t>(network.nodeCount()), 0),
+        seen_(static_cast<size_t>(network.nodeCount())) {
     network_.setDeliver(self_, [this](NodeId src, Frame frame,
                                       sim::Time arrive) {
       onFrame(src, std::move(frame), arrive, /*via_wire=*/true);
@@ -112,7 +136,7 @@ class Endpoint {
 
   // Reliable one-way message, leaving the node no earlier than `earliest`.
   void post(NodeId dst, uint16_t type, Bytes payload, sim::Time earliest) {
-    const uint64_t seq = next_seq_++;
+    const uint64_t seq = nextSeq(dst);
     Frame frame = encode(FrameKind::kData, seq, type, payload);
     if (dst == self_) {
       sendLocal(std::move(frame), earliest);
@@ -121,16 +145,17 @@ class Endpoint {
     countSend(type, payload.size());
     traceSend(type, payload.size(), earliest,
               obs::corrId(static_cast<uint8_t>(FrameKind::kData), self_, seq));
-    auto [it, inserted] = pending_posts_.emplace(seq, Pending{dst, frame});
+    auto [it, inserted] =
+        pending_posts_.emplace(seq, Pending{dst, frame, {}});
     VODSM_CHECK(inserted);
     network_.send(self_, dst, std::move(frame), earliest);
-    armPostTimer(seq, it->second.epoch);
+    it->second.timer = armPostTimer(seq);
   }
 
   // RPC. The handler on `dst` must reply (promptly, well under one RTO).
   sim::Task<RpcResult> request(NodeId dst, uint16_t type, Bytes payload,
                                sim::Time earliest) {
-    const uint64_t seq = next_seq_++;
+    const uint64_t seq = nextSeq(dst);
     Frame frame = encode(FrameKind::kRequest, seq, type, payload);
     auto pending = std::make_unique<PendingRpc>();
     PendingRpc* p = pending.get();
@@ -147,7 +172,7 @@ class Endpoint {
       p->dst = dst;
       p->frame = frame;
       network_.send(self_, dst, std::move(frame), earliest);
-      armRpcTimer(seq, p->epoch);
+      p->timer = armRpcTimer(seq);
     }
     RpcResult result = co_await p->waiter;
     pending_rpcs_.erase(seq);
@@ -177,18 +202,38 @@ class Endpoint {
   // in this node's lane, so shards are never written concurrently.
   NetStats& stats() { return network_.statsFor(self_); }
 
+  // Sequence numbers this node received out of order and still tracks
+  // individually, over all senders. Zero once every gap has been filled.
+  size_t dedupBacklog() const {
+    size_t n = 0;
+    for (const SeqTracker& t : seen_) n += t.backlog();
+    return n;
+  }
+
  private:
+  // Sequence-field layout (see the header comment).
+  static constexpr int kPairShift = 40;
+  static constexpr uint32_t kPairLimit = uint32_t{1} << 24;
+
   struct Pending {
     NodeId dst = 0;
     Frame frame;
-    uint64_t epoch = 0;  // bumped on completion to invalidate timers
+    sim::Engine::TimerId timer;  // cancelled on ack
   };
   struct PendingRpc {
     NodeId dst = 0;
     Frame frame;
-    uint64_t epoch = 0;
+    sim::Engine::TimerId timer;  // cancelled on reply
     sim::Waiter<RpcResult> waiter;
   };
+
+  uint64_t nextSeq(NodeId dst) {
+    uint32_t& pair = pair_seq_[dst];
+    VODSM_CHECK_MSG(
+        pair < kPairLimit && next_seq_ < (uint64_t{1} << kPairShift),
+        "sequence space exhausted on node " << self_);
+    return (uint64_t{pair++} << kPairShift) | next_seq_++;
+  }
 
   static Frame encode(FrameKind kind, uint64_t seq, uint16_t type,
                       ByteSpan payload) {
@@ -247,23 +292,23 @@ class Endpoint {
     });
   }
 
-  void armPostTimer(uint64_t seq, uint64_t epoch) {
-    engine_.after(network_.config().rto, [this, seq, epoch] {
-      auto it = pending_posts_.find(seq);
-      if (it == pending_posts_.end() || it->second.epoch != epoch) return;
-      countRetransmit(it->second.frame, it->second.dst);
-      network_.send(self_, it->second.dst, it->second.frame, engine_.now());
-      armPostTimer(seq, epoch);
+  // A timer runs only while its message is unacknowledged: completion
+  // cancels it, so the pending entry is always there when it fires.
+  sim::Engine::TimerId armPostTimer(uint64_t seq) {
+    return engine_.afterCancellable(network_.config().rto, [this, seq] {
+      Pending& p = pending_posts_.at(seq);
+      countRetransmit(p.frame, p.dst);
+      network_.send(self_, p.dst, p.frame, engine_.now());
+      p.timer = armPostTimer(seq);
     });
   }
 
-  void armRpcTimer(uint64_t seq, uint64_t epoch) {
-    engine_.after(network_.config().rto, [this, seq, epoch] {
-      auto it = pending_rpcs_.find(seq);
-      if (it == pending_rpcs_.end() || it->second->epoch != epoch) return;
-      countRetransmit(it->second->frame, it->second->dst);
-      network_.send(self_, it->second->dst, it->second->frame, engine_.now());
-      armRpcTimer(seq, epoch);
+  sim::Engine::TimerId armRpcTimer(uint64_t seq) {
+    return engine_.afterCancellable(network_.config().rto, [this, seq] {
+      PendingRpc& p = *pending_rpcs_.at(seq);
+      countRetransmit(p.frame, p.dst);
+      network_.send(self_, p.dst, p.frame, engine_.now());
+      p.timer = armRpcTimer(seq);
     });
   }
 
@@ -285,7 +330,7 @@ class Endpoint {
       case FrameKind::kAck: {
         auto it = pending_posts_.find(seq);
         if (it != pending_posts_.end()) {
-          it->second.epoch++;
+          engine_.cancel(it->second.timer);
           pending_posts_.erase(it);
         }
         return;
@@ -294,7 +339,7 @@ class Endpoint {
         auto it = pending_rpcs_.find(seq);
         if (it == pending_rpcs_.end()) return;  // duplicate reply
         PendingRpc& p = *it->second;
-        p.epoch++;
+        engine_.cancel(p.timer);
         const uint16_t type = r.u16();
         ByteSpan payload = r.blob();
         p.waiter.fulfill(RpcResult{type, payload, arrive, std::move(frame)});
@@ -302,7 +347,7 @@ class Endpoint {
       }
       case FrameKind::kData: {
         if (via_wire) sendAck(src, seq);
-        if (!seen_[src].markSeen(seq)) return;  // duplicate
+        if (!seen_[src].markSeen(seq >> kPairShift)) return;  // duplicate
         const uint16_t type = r.u16();
         ByteSpan payload = r.blob();
         dispatch(Delivery{src, type, payload, arrive, std::move(frame)},
@@ -310,7 +355,7 @@ class Endpoint {
         return;
       }
       case FrameKind::kRequest: {
-        if (!seen_[src].markSeen(seq)) {
+        if (!seen_[src].markSeen(seq >> kPairShift)) {
           // Duplicate request: a copy of the original frame. Resend the
           // reply parked in it if we already answered; otherwise the
           // original is still being processed and the requester's next
@@ -359,10 +404,11 @@ class Endpoint {
   Handler handler_;
   Classifier classify_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
-  uint64_t next_seq_ = 0;
+  uint64_t next_seq_ = 0;               // sender-global counter
+  std::vector<uint32_t> pair_seq_;       // per-receiver counters
   std::unordered_map<uint64_t, Pending> pending_posts_;
   std::unordered_map<uint64_t, std::unique_ptr<PendingRpc>> pending_rpcs_;
-  std::unordered_map<NodeId, SeqTracker> seen_;
+  std::vector<SeqTracker> seen_;         // per-sender dedup, by NodeId
 };
 
 }  // namespace vodsm::net

@@ -98,9 +98,10 @@ void MetricsRegistry::closeRun(int nprocs, sim::Time finish) {
   if (closed_) return;
   closed_ = true;
   nprocs_ = nprocs;
-  // Lossy runs can carry metric updates past the last program clock (dead
-  // retransmission timers fire after every node finished); never truncate
-  // an integral below its own last update.
+  // Lossy runs can carry metric updates past the last program clock (a
+  // post whose ack was lost is still retransmitted, and its frames still
+  // cross the wire, after every node finished); never truncate an integral
+  // below its own last update.
   for (const auto& node : nodes_)
     for (const Series& s : node) finish = std::max(finish, s.last_ts);
   finish_ = finish;

@@ -40,6 +40,20 @@
 // keep the engine alive — run() stops once all real events drained,
 // discarding any trailing aux events.
 //
+// Cancellable timers. `afterCancellable` schedules a real event and returns
+// a TimerId; `cancel(id)` withdraws it. The cancelled event keeps the stamp
+// it drew, so every other event's key, and with it every simulated result,
+// is exactly what it would be had the event run as a no-op. A cancelled
+// entry stays in its heap, is skipped when it reaches the top, and neither
+// counts as a real event nor keeps run() alive. Once cancelled entries
+// outnumber live ones in a heap, the heap is purged in one O(n) rebuild;
+// keys are total, so pop order is unchanged. Cancelling an event that
+// already ran, or cancelling twice, is a no-op: each pool node carries a
+// generation that is bumped whenever the node is released. A timer must be
+// cancelled from the lane that armed it. Timers armed before a parallel
+// run stay in the global pool (runParallel moves only their heap entries
+// into the lanes), so their ids stay valid across the migration.
+//
 // Storage: callbacks live in a free-list pool of event nodes (reused across
 // the run, so steady-state scheduling allocates nothing), and the priority
 // queue orders plain POD records — heap sifts move small PODs instead of
@@ -125,6 +139,15 @@ class Engine {
   // Non-null only on a worker thread inside a parallel window.
   static ExecContext* execContext() { return exec_tls_; }
 
+  // Names one event scheduled by afterCancellable. A default-constructed id
+  // names no event; cancelling it is a no-op.
+  struct TimerId {
+    uint32_t slot = UINT32_MAX;  // pool node; kGlobalSlot marks pool_
+    uint32_t gen = 0;            // the node's generation when armed
+    uint32_t lane = 0;           // lane the event executes in
+    uint32_t run = 0;            // lane pools: the parallel run that armed it
+  };
+
   // Pins the scheduling lane for events scheduled outside event context
   // (program spawns during setup). No-op effect with a single lane.
   class LaneGuard {
@@ -176,6 +199,35 @@ class Engine {
   // Schedule `cb` `dt` after the engine's current time.
   void after(Time dt, Callback cb) { at(now() + dt, std::move(cb)); }
 
+  // As after(), but the event can be withdrawn with cancel().
+  TimerId afterCancellable(Time dt, Callback cb) {
+    return schedule(now() + dt, std::move(cb), false);
+  }
+
+  // Withdraw a pending afterCancellable event (see the header comment).
+  // Must run in the lane that armed it; a no-op if it already ran or was
+  // cancelled.
+  void cancel(TimerId id) {
+    if (id.slot == kNone) return;
+    VODSM_DCHECK(exec_tls_ == nullptr || exec_tls_->lane == id.lane);
+    const bool global = (id.slot & kGlobalSlot) != 0;
+    const uint32_t slot = id.slot & ~kGlobalSlot;
+    // A lane-pool timer dies with the parallel run that armed it.
+    if (!global && (!parallel_live_ || id.run != parallel_runs_)) return;
+    Node& n = global ? pool_[slot] : lanes_[id.lane].pool[slot];
+    if (n.gen != id.gen || !n.cb) return;
+    n.cb.reset();  // an empty callback marks the entry cancelled
+    if (parallel_live_) {
+      LaneRt& l = lanes_[id.lane];
+      --l.real_pending;
+      if (++l.cancelled * 2 > l.heap.size()) purge(l.heap, l.cancelled, &l);
+    } else {
+      --real_pending_;
+      if (++cancelled_ * 2 > heap_.size())
+        purge(heap_, cancelled_, nullptr);
+    }
+  }
+
   // Schedule into another lane: the cross-node frame hop. `t` must be at
   // least lookahead() after the posting lane's current time.
   void atLane(uint32_t lane, Time t, Callback cb) {
@@ -190,7 +242,7 @@ class Engine {
     }
     VODSM_DCHECK(t >= now_);
     pushGlobal(Entry{t, nextStamp(cur_lane_), cur_lane_, dst,
-                     allocGlobal(std::move(cb))});
+                     alloc(pool_, free_head_, std::move(cb)) | kGlobalSlot});
     ++real_pending_;
   }
 
@@ -251,20 +303,24 @@ class Engine {
 
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
+  // Entry::slot / TimerId::slot bit: the node lives in the global pool_,
+  // not in the lane's own pool (timers armed before a parallel run).
+  static constexpr uint32_t kGlobalSlot = uint32_t{1} << 31;
   // Marks stamps drawn from the aux counter; aux events sort after every
   // real event at the same time (their stamps are astronomically larger).
   static constexpr uint64_t kAuxBit = uint64_t{1} << 63;
 
   struct Node {
-    Callback cb;
+    Callback cb;  // empty while free or once cancelled
     uint32_t next_free = kNone;
+    uint32_t gen = 0;  // bumped on release; stale TimerIds stop matching
   };
   struct Entry {
     Time t;
     uint64_t stamp;
     uint32_t origin;  // lane whose counter issued the stamp
     uint32_t lane;    // lane the event executes in
-    uint32_t slot;
+    uint32_t slot;    // pool node, with kGlobalSlot for pool_
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -292,6 +348,7 @@ class Engine {
     uint32_t free_head = kNone;
     Time now = 0;
     uint64_t real_pending = 0;
+    uint64_t cancelled = 0;  // cancelled entries still in heap
     uint64_t real_executed = 0;
     EventKey last_real{};
     bool any_real = false;
@@ -304,17 +361,25 @@ class Engine {
     return seqs_[lane].aux++ | kAuxBit;
   }
 
-  uint32_t allocGlobal(Callback cb) {
-    uint32_t slot;
-    if (free_head_ != kNone) {
-      slot = free_head_;
-      free_head_ = pool_[slot].next_free;
-      pool_[slot].cb = std::move(cb);
-    } else {
-      slot = static_cast<uint32_t>(pool_.size());
-      pool_.push_back(Node{std::move(cb), kNone});
+  // Take a node for `cb` from `pool`'s free list, or grow the pool.
+  static uint32_t alloc(std::vector<Node>& pool, uint32_t& free_head,
+                        Callback cb) {
+    if (free_head == kNone) {
+      pool.push_back(Node{std::move(cb), kNone, 0});
+      return static_cast<uint32_t>(pool.size() - 1);
     }
+    const uint32_t slot = free_head;
+    free_head = pool[slot].next_free;
+    pool[slot].cb = std::move(cb);
     return slot;
+  }
+
+  // Return a node to its pool's free list, retiring its TimerIds.
+  static void release(Node& n, uint32_t slot, uint32_t& free_head) {
+    n.cb.reset();
+    ++n.gen;
+    n.next_free = free_head;
+    free_head = slot;
   }
 
   void pushGlobal(Entry e) {
@@ -322,43 +387,80 @@ class Engine {
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  static uint32_t allocLane(LaneRt& l, Callback cb) {
-    uint32_t slot;
-    if (l.free_head != kNone) {
-      slot = l.free_head;
-      l.free_head = l.pool[slot].next_free;
-      l.pool[slot].cb = std::move(cb);
-    } else {
-      slot = static_cast<uint32_t>(l.pool.size());
-      l.pool.push_back(Node{std::move(cb), kNone});
-    }
-    return slot;
-  }
-
-  void schedule(Time t, Callback cb, bool aux) {
+  TimerId schedule(Time t, Callback cb, bool aux) {
     if (ExecContext* x = exec_tls_) {
       LaneRt& l = lanes_[x->lane];
       VODSM_DCHECK(t >= l.now);
+      const uint32_t slot = alloc(l.pool, l.free_head, std::move(cb));
       l.heap.push_back(Entry{
           t, aux ? nextAuxStamp(x->lane) : nextStamp(x->lane), x->lane,
-          x->lane, allocLane(l, std::move(cb))});
+          x->lane, slot});
       std::push_heap(l.heap.begin(), l.heap.end(), Later{});
       if (!aux) ++l.real_pending;
-      return;
+      return TimerId{slot, l.pool[slot].gen, x->lane, parallel_runs_};
     }
     VODSM_DCHECK(t >= now_);
+    const uint32_t slot = alloc(pool_, free_head_, std::move(cb));
     pushGlobal(Entry{t, aux ? nextAuxStamp(cur_lane_) : nextStamp(cur_lane_),
-                     cur_lane_, cur_lane_, allocGlobal(std::move(cb))});
+                     cur_lane_, cur_lane_, slot | kGlobalSlot});
     if (!aux) ++real_pending_;
+    return TimerId{slot | kGlobalSlot, pool_[slot].gen, cur_lane_, 0};
+  }
+
+  // The node behind a heap entry of `l` (or of the global heap if null).
+  Node& nodeOf(const Entry& e, LaneRt* l) {
+    if (l == nullptr || (e.slot & kGlobalSlot))
+      return pool_[e.slot & ~kGlobalSlot];
+    return l->pool[e.slot];
+  }
+
+  // Drop every cancelled entry of `heap` in one pass and rebuild it. Keys
+  // are total, so the remaining entries pop in the same order as before.
+  void purge(std::vector<Entry>& heap, uint64_t& cancelled, LaneRt* l) {
+    size_t keep = 0;
+    for (const Entry& e : heap) {
+      Node& n = nodeOf(e, l);
+      if (n.cb) {
+        heap[keep++] = e;
+      } else {
+        releaseEntry(e, l);
+      }
+    }
+    heap.resize(keep);
+    std::make_heap(heap.begin(), heap.end(), Later{});
+    cancelled = 0;
+  }
+
+  // Free the node behind `e` once the entry left its heap (it ran, or it
+  // was cancelled). A global node reached from a lane heap only has its
+  // callback and generation reset: worker threads never touch the global
+  // free list, which runParallel rebuilds after the run.
+  void releaseEntry(const Entry& e, LaneRt* l) {
+    Node& n = nodeOf(e, l);
+    if (l == nullptr) {
+      release(n, e.slot & ~kGlobalSlot, free_head_);
+    } else if (e.slot & kGlobalSlot) {
+      n.cb.reset();
+      ++n.gen;
+    } else {
+      release(n, e.slot, l->free_head);
+    }
   }
 
   // Serial step: 0 = nothing to do (drained of real events or stopped),
-  // 1 = executed a real event, 2 = executed an aux event.
+  // 1 = executed a real event, 2 = executed an aux event or skipped a
+  // cancelled one.
   int stepImpl() {
     if (heap_.empty() || stopped() || real_pending_ == 0) return 0;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const Entry ev = heap_.back();
     heap_.pop_back();
+    Node& node = nodeOf(ev, nullptr);
+    if (!node.cb) {
+      --cancelled_;
+      releaseEntry(ev, nullptr);
+      return 2;
+    }
     VODSM_DCHECK(ev.t >= now_);
     now_ = ev.t;
     cur_lane_ = ev.lane;
@@ -372,10 +474,8 @@ class Engine {
     }
     // Move the callback out before running it: the callback may schedule
     // new events, which may reuse (or reallocate) this node's slot.
-    Callback cb = std::move(pool_[ev.slot].cb);
-    pool_[ev.slot].cb.reset();
-    pool_[ev.slot].next_free = free_head_;
-    free_head_ = ev.slot;
+    Callback cb = std::move(node.cb);
+    releaseEntry(ev, nullptr);
     cb();
     return aux ? 2 : 1;
   }
@@ -392,6 +492,12 @@ class Engine {
       std::pop_heap(l.heap.begin(), l.heap.end(), Later{});
       const Entry ev = l.heap.back();
       l.heap.pop_back();
+      Node& node = nodeOf(ev, &l);
+      if (!node.cb) {
+        --l.cancelled;
+        releaseEntry(ev, &l);
+        continue;
+      }
       l.now = ev.t;
       const bool aux = (ev.stamp & kAuxBit) != 0;
       LaneSeq& s = seqs_[li];
@@ -406,10 +512,8 @@ class Engine {
       }
       ctx.key = EventKey{ev.t, ev.stamp, ev.origin};
       ctx.ordinal = 0;
-      Callback cb = std::move(l.pool[ev.slot].cb);
-      l.pool[ev.slot].cb.reset();
-      l.pool[ev.slot].next_free = l.free_head;
-      l.free_head = ev.slot;
+      Callback cb = std::move(node.cb);
+      releaseEntry(ev, &l);
       try {
         cb();
       } catch (...) {
@@ -446,18 +550,21 @@ class Engine {
 
   uint64_t runParallel() {
     VODSM_CHECK_MSG(lookahead_ > 0, "parallel run requires lookahead > 0");
-    // Migrate the pending global events into per-lane heaps.
+    // Move the pending global entries into per-lane heaps. Their nodes stay
+    // in pool_ (so TimerIds armed during setup stay valid); cancelled
+    // entries are dropped here.
     lanes_ = std::vector<LaneRt>(nlanes_);
+    ++parallel_runs_;
+    parallel_live_ = true;
     for (LaneRt& l : lanes_) l.now = now_;
     for (const Entry& ev : heap_) {
+      if (!nodeOf(ev, nullptr).cb) continue;
       LaneRt& l = lanes_[ev.lane];
-      l.heap.push_back(Entry{ev.t, ev.stamp, ev.origin, ev.lane,
-                             allocLane(l, std::move(pool_[ev.slot].cb))});
+      l.heap.push_back(ev);
       if ((ev.stamp & kAuxBit) == 0) ++l.real_pending;
     }
     heap_.clear();
-    pool_.clear();
-    free_head_ = kNone;
+    cancelled_ = 0;
     real_pending_ = 0;
     for (LaneRt& l : lanes_)
       std::make_heap(l.heap.begin(), l.heap.end(), Later{});
@@ -503,8 +610,9 @@ class Engine {
       for (LaneRt& src : lanes_) {
         for (Outpost& p : src.outbox) {
           LaneRt& dst = lanes_[p.lane];
-          dst.heap.push_back(Entry{p.t, p.stamp, p.origin, p.lane,
-                                   allocLane(dst, std::move(p.cb))});
+          const uint32_t slot =
+              alloc(dst.pool, dst.free_head, std::move(p.cb));
+          dst.heap.push_back(Entry{p.t, p.stamp, p.origin, p.lane, slot});
           std::push_heap(dst.heap.begin(), dst.heap.end(), Later{});
           if ((p.stamp & kAuxBit) == 0) ++dst.real_pending;
         }
@@ -527,6 +635,14 @@ class Engine {
     cv_work_.notify_all();
     for (std::thread& t : workers) t.join();
 
+    // Reclaim the global pool: every event in it ran, was cancelled, or
+    // (after stop()) was abandoned with its lane heap. Bumping every
+    // generation retires all TimerIds that name these nodes.
+    parallel_live_ = false;
+    free_head_ = kNone;
+    for (uint32_t i = static_cast<uint32_t>(pool_.size()); i-- > 0;)
+      release(pool_[i], i, free_head_);
+
     // Fold the clock to the last real event's time, exactly as the serial
     // schedule leaves it (lanes may have run trailing aux events further).
     uint64_t total_real = 0;
@@ -544,6 +660,7 @@ class Engine {
   uint32_t free_head_ = kNone;
   Time now_ = 0;
   uint64_t real_pending_ = 0;
+  uint64_t cancelled_ = 0;  // cancelled entries still in heap_
   std::atomic<bool> stopped_{false};
   uint32_t cur_lane_ = 0;  // scheduling lane outside parallel windows
 
@@ -554,6 +671,8 @@ class Engine {
   Time lookahead_ = 0;
   std::vector<LaneSeq> seqs_ = std::vector<LaneSeq>(1);
   std::vector<LaneRt> lanes_;  // non-empty only during/after a parallel run
+  bool parallel_live_ = false;  // lanes_ hold the pending events
+  uint32_t parallel_runs_ = 0;  // parallel runs started; tags lane TimerIds
   std::vector<ParallelObserver*> observers_;
 
   // Worker-pool plumbing for runParallel.

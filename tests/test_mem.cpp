@@ -2,6 +2,9 @@
 // integration, page store, vector clocks, view map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dsm/view_map.hpp"
 #include "mem/diff.hpp"
 #include "mem/page_store.hpp"
@@ -123,6 +126,81 @@ TEST(Diff, IntegrationNewerWinsOnOverlap) {
   EXPECT_EQ(page[1], std::byte{1});
   EXPECT_EQ(page[2], std::byte{2});
   EXPECT_EQ(page[3], std::byte{2});
+}
+
+// The byte-overlay integration that Diff::integrate's run merge replaced:
+// materialize both diffs onto a page and a coverage map, then rescan.
+Diff overlayIntegrate(const Diff& older, const Diff& newer) {
+  std::vector<std::byte> bytes(kPageSize);
+  std::vector<bool> covered(kPageSize, false);
+  auto overlay = [&](const Diff& d) {
+    size_t pos = 0;
+    for (const Diff::Run& r : d.runs()) {
+      for (size_t k = 0; k < r.length; ++k) {
+        bytes[r.offset + k] = d.data()[pos + k];
+        covered[r.offset + k] = true;
+      }
+      pos += r.length;
+    }
+  };
+  overlay(older);
+  overlay(newer);
+  Diff out(older.page());
+  size_t i = 0;
+  while (i < kPageSize) {
+    if (!covered[i]) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    while (i < kPageSize && covered[i]) ++i;
+    out.addRun(static_cast<uint16_t>(start),
+               ByteSpan(bytes.data() + start, i - start));
+  }
+  return out;
+}
+
+// A diff of random sorted, disjoint runs: gaps of zero (adjacent runs),
+// zero-length runs, single bytes, and runs up to a quarter page.
+Diff randomRunDiff(sim::Rng& rng, uint64_t max_gap) {
+  Diff d(9);
+  size_t at = rng.below(max_gap + 1);
+  while (at < kPageSize) {
+    const size_t cap = std::min<size_t>(kPageSize - at, kPageSize / 4);
+    Bytes run(rng.below(8) == 0 ? 0 : 1 + rng.below(cap));
+    for (auto& b : run) b = static_cast<std::byte>(rng.below(256));
+    d.addRun(static_cast<uint16_t>(at), run);
+    at += run.size() + rng.below(max_gap + 1);
+  }
+  return d;
+}
+
+TEST(Diff, IntegrationMatchesByteOverlay) {
+  sim::Rng rng(2024);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const uint64_t gap_a = uint64_t{1} << rng.below(12);
+    const uint64_t gap_b = uint64_t{1} << rng.below(12);
+    const Diff older =
+        rng.below(10) == 0 ? Diff(9) : randomRunDiff(rng, gap_a);
+    const Diff newer =
+        rng.below(10) == 0 ? Diff(9) : randomRunDiff(rng, gap_b);
+    const Diff want = overlayIntegrate(older, newer);
+    ASSERT_EQ(Diff::integrate(older, newer), want) << "trial " << trial;
+  }
+  // Diffs as the protocols make them: word-granular twin comparisons.
+  for (double density : {0.01, 0.1, 0.5, 0.9}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      Bytes base = randomPage(rng);
+      Bytes v1 = base;
+      mutatePage(rng, v1, density);
+      Bytes v2 = v1;
+      mutatePage(rng, v2, density);
+      const Diff d1 = Diff::create(2, v1, base);
+      const Diff d2 = Diff::create(2, v2, v1);
+      ASSERT_EQ(Diff::integrate(d1, d2), overlayIntegrate(d1, d2));
+      ASSERT_EQ(Diff::integrate(d2, d1), overlayIntegrate(d2, d1));
+    }
+  }
 }
 
 TEST(PageStore, TwinLifecycle) {

@@ -1,6 +1,10 @@
 // Unit tests for the network model and the reliable transport.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "net/faults.hpp"
 #include "net/network.hpp"
 #include "net/parallel.hpp"
 #include "net/transport.hpp"
@@ -213,6 +217,82 @@ TEST(Transport, StatsCountPayloadBytes) {
   p.engine.run();
   EXPECT_EQ(p.net.stats().messages, 1u);
   EXPECT_EQ(p.net.stats().payload_bytes, 500u);
+}
+
+// One sender fanning out round-robin: every receiver sees its own
+// contiguous sequence, so no dedup state outlives the run, and acked
+// timers are cancelled, so the run ends long before the first RTO.
+struct FanOut {
+  static constexpr int kReceivers = 8;
+  sim::Engine engine;
+  Network net;
+  std::vector<std::unique_ptr<Endpoint>> eps;
+  std::vector<int> delivered = std::vector<int>(kReceivers + 1, 0);
+  explicit FanOut(NetConfig cfg = NetConfig{})
+      : net(engine, kReceivers + 1, cfg, 1) {
+    for (int i = 0; i <= kReceivers; ++i) {
+      eps.push_back(
+          std::make_unique<Endpoint>(engine, net, static_cast<NodeId>(i)));
+      Endpoint& ep = *eps.back();
+      ep.setHandler([this, &ep, i](Delivery&& d, const ReplyToken& tok) {
+        ++delivered[static_cast<size_t>(i)];
+        if (d.type == 2) ep.reply(tok, 3, Bytes(8), d.arrive);
+      });
+    }
+  }
+  size_t backlog() const {
+    size_t n = 0;
+    for (const auto& ep : eps) n += ep->dedupBacklog();
+    return n;
+  }
+};
+
+TEST(Transport, FanOutLeavesNoDedupBacklogOrTimers) {
+  FanOut f;
+  constexpr int kMessages = 1000;
+  // Paced below the sender's ack-receive rate, so no ack overflows its NIC
+  // queue and nothing is retransmitted.
+  for (int m = 0; m < kMessages; ++m)
+    f.eps[0]->post(static_cast<NodeId>(1 + m % FanOut::kReceivers), 1,
+                   Bytes(64), m * sim::usec(50));
+  f.engine.run();
+  EXPECT_EQ(f.net.stats().retransmissions, 0u);
+  for (int r = 1; r <= FanOut::kReceivers; ++r)
+    EXPECT_EQ(f.delivered[static_cast<size_t>(r)],
+              kMessages / FanOut::kReceivers);
+  EXPECT_EQ(f.backlog(), 0u);
+  EXPECT_EQ(f.engine.pending(), 0u);
+  EXPECT_LT(f.engine.now(), NetConfig{}.rto);
+}
+
+// Every frame duplicated at the switch: posts and requests alike are
+// handled exactly once, and the late copies leave no dedup state behind.
+TEST(Transport, DuplicatedFanOutDeliversEachMessageOnce) {
+  NetConfig cfg;
+  cfg.rto = sim::msec(50);
+  FanOut f(cfg);
+  FaultInjector inj(parseFaultPlan("dup:p=1"), 1, FanOut::kReceivers + 1);
+  f.net.setFaults(&inj);
+  constexpr int kMessages = 200;
+  int replies = 0;
+  for (int m = 0; m < kMessages; ++m) {
+    const auto dst = static_cast<NodeId>(1 + m % FanOut::kReceivers);
+    if (m % 2 == 0) {
+      f.eps[0]->post(dst, 1, Bytes(32), 0);
+    } else {
+      sim::spawn([](Endpoint& ep, NodeId to, int& n) -> sim::Task<void> {
+        co_await ep.request(to, 2, Bytes(32), 0);
+        ++n;
+      }(*f.eps[0], dst, replies));
+    }
+  }
+  f.engine.run();
+  for (int r = 1; r <= FanOut::kReceivers; ++r)
+    EXPECT_EQ(f.delivered[static_cast<size_t>(r)],
+              kMessages / FanOut::kReceivers);
+  EXPECT_EQ(replies, kMessages / 2);
+  EXPECT_GT(f.net.stats().frames_duplicated, 0u);
+  EXPECT_EQ(f.backlog(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the sim substrate: engine, rng, tasks, waiters, clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <functional>
@@ -100,6 +101,167 @@ TEST(Engine, AuxEventsDoNotKeepEngineAlive) {
   EXPECT_EQ(real_fired, 1);
   EXPECT_EQ(aux_fired, 3);  // t = 0, 5, 10; the trailing tick is discarded
   EXPECT_EQ(e.now(), 12);
+}
+
+// A cancelled event never runs, is not counted, and does not keep run()
+// alive: the clock stops at the last real event.
+TEST(Engine, CancelledEventNeverRunsNorKeepsRunAlive) {
+  Engine e;
+  bool fired = false;
+  e.at(10, [] {});
+  const Engine::TimerId id = e.afterCancellable(1000, [&] { fired = true; });
+  EXPECT_EQ(e.pending(), 2u);
+  e.cancel(id);
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(e.now(), 10);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, CancelAfterFiringOrTwiceIsNoOp) {
+  Engine e;
+  int fired = 0;
+  const Engine::TimerId done = e.afterCancellable(5, [&] { ++fired; });
+  EXPECT_EQ(e.run(), 1u);
+  // The next event reuses the fired timer's node; the stale id must not
+  // reach it.
+  bool later = false;
+  e.after(5, [&] { later = true; });
+  e.cancel(done);
+  EXPECT_EQ(e.pending(), 1u);
+  const Engine::TimerId twice = e.afterCancellable(7, [&] { ++fired; });
+  e.cancel(twice);
+  e.cancel(twice);
+  EXPECT_EQ(e.pending(), 1u);
+  e.cancel(Engine::TimerId{});  // names no event
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_TRUE(later);
+  EXPECT_EQ(fired, 1);
+}
+
+// A cancelled event keeps its stamp: events scheduled around it, at the
+// same time, run in exactly the order they would if it had run as a no-op.
+TEST(Engine, CancelBetweenEqualTimeEventsKeepsTheirOrder) {
+  auto runIt = [](bool cancel) {
+    Engine e;
+    std::vector<int> order;
+    e.at(5, [&] {
+      order.push_back(1);
+      e.at(5, [&] { order.push_back(4); });
+    });
+    const Engine::TimerId mid = e.afterCancellable(5, [] {});
+    e.at(5, [&] { order.push_back(2); });
+    if (cancel) e.cancel(mid);
+    e.at(5, [&] { order.push_back(3); });
+    e.run();
+    return order;
+  };
+  EXPECT_EQ(runIt(true), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(runIt(true), runIt(false));
+}
+
+// Cancelling most of a large heap, from setup and from inside a running
+// event, forces purges (one in each phase); the survivors still pop in
+// (time, insertion) order.
+TEST(Engine, PurgeKeepsPopOrder) {
+  Engine e;
+  Rng rng(11);
+  struct Ev {
+    Time t;
+    int id;
+  };
+  std::vector<Ev> expect;
+  std::vector<Engine::TimerId> timers;
+  std::vector<int> order;
+  for (int i = 0; i < 2000; ++i) {
+    const Time t = 100 + static_cast<Time>(rng.below(50));  // many ties
+    auto record = [&order, i] { order.push_back(i); };
+    if (i % 10 == 0) {
+      e.at(t, record);
+      expect.push_back({t, i});
+    } else {
+      if (timers.size() % 9 == 0) expect.push_back({t, i});  // survives
+      timers.push_back(e.afterCancellable(t - e.now(), record));
+    }
+  }
+  auto cancelRange = [&](size_t from, size_t to) {
+    for (size_t k = from; k < to; ++k)
+      if (k % 9 != 0) e.cancel(timers[k]);
+  };
+  cancelRange(0, 1350);
+  e.at(1, [&] { cancelRange(1350, timers.size()); });
+  std::stable_sort(expect.begin(), expect.end(),
+                   [](const Ev& a, const Ev& b) { return a.t < b.t; });
+  std::vector<int> want;
+  for (const Ev& ev : expect) want.push_back(ev.id);
+  EXPECT_EQ(e.run(), want.size() + 1);
+  EXPECT_EQ(order, want);
+}
+
+// Timers armed during setup (before the lane migration) and during the run
+// are cancelled identically by the serial and the parallel schedule.
+TEST(Engine, CancellationIsThreadCountInvariant) {
+  constexpr uint32_t kLanes = 4;
+  constexpr int kHops = 20;
+  constexpr int kSetupTimers = 8;
+  struct Out {
+    uint64_t events = 0;
+    std::array<int, kLanes> fired{};
+  };
+  auto runIt = [](int threads) {
+    Out out;
+    Engine e;
+    e.configureLanes(kLanes, threads);
+    e.setLookahead(10);
+    std::array<std::vector<Engine::TimerId>, kLanes> timers;
+    std::function<void(uint32_t, int)> hop = [&](uint32_t lane, int k) {
+      // Cancel one setup timer: early hops before it fires, late hops
+      // after (a no-op).
+      e.cancel(timers[lane][static_cast<size_t>(k % kSetupTimers)]);
+      // Arm a run-time timer; cancel every other one.
+      const Engine::TimerId id =
+          e.afterCancellable(50, [&out, lane] { ++out.fired[lane]; });
+      if (k % 2 == 0) e.cancel(id);
+      if (k < kHops) {
+        const uint32_t nxt = (lane + 1) % kLanes;
+        e.atLane(nxt, e.now() + 10, [&hop, nxt, k] { hop(nxt, k + 1); });
+      }
+    };
+    for (uint32_t l = 0; l < kLanes; ++l) {
+      Engine::LaneGuard g(e, l);
+      for (int k = 0; k < kSetupTimers; ++k)
+        timers[l].push_back(
+            e.afterCancellable(100 + k, [&out, l] { ++out.fired[l]; }));
+      e.at(l + 1, [&hop, l] { hop(l, 0); });
+      // Cancelled before the run starts: never migrated into a lane.
+      timers[l].push_back(e.afterCancellable(5, [&out, l] { ++out.fired[l]; }));
+      e.cancel(timers[l].back());
+    }
+    out.events = e.run();
+    EXPECT_EQ(e.pending(), 0u);
+    // Every id of the finished run is stale: none may reach the events
+    // that reuse the nodes (more events than the setup pool had).
+    int later = 0;
+    for (int k = 0; k < 64; ++k) e.at(e.now() + 1, [&later] { ++later; });
+    for (const auto& lane_timers : timers)
+      for (const Engine::TimerId& id : lane_timers) e.cancel(id);
+    EXPECT_EQ(e.run(), 64u);
+    EXPECT_EQ(later, 64);
+    return out;
+  };
+  const Out serial = runIt(1);
+  int fired = 0;
+  for (int f : serial.fired) fired += f;
+  // Every lane's setup timers are cancelled before t = 100; half the
+  // run-time timers survive.
+  EXPECT_EQ(fired, static_cast<int>(kLanes) * ((kHops + 1) / 2));
+  EXPECT_EQ(serial.events,
+            kLanes * static_cast<uint64_t>(kHops + 1) +
+                static_cast<uint64_t>(fired));
+  const Out par = runIt(4);
+  EXPECT_EQ(par.events, serial.events);
+  EXPECT_EQ(par.fired, serial.fired);
 }
 
 TEST(Engine, ResolveSimThreads) {
