@@ -14,8 +14,18 @@
 //   * host run-shape/provenance keys ("jobs", "sim_threads", the "host"
 //     metadata object) are ignored outright.
 //
+// --allow-screened accepts an artifact from table_suite --screen: cells
+// marked "screened": true on either side carry a model prediction, not
+// simulated fields, and are skipped. The sweep- and table-level host
+// timings of a screened artifact (wall_seconds, serial_wall_seconds,
+// speedup_vs_serial outside any cell) are not compared either, because
+// they time a different set of cells than the other side's sweep. Every
+// cell that was simulated still compares in full, its host_seconds
+// included; an unscreened pair compares exactly as without the flag.
+//
 //   bench_diff BASELINE.json CURRENT.json
 //   bench_diff --host-tolerance=25 --host-floor-seconds=5 a.json b.json
+//   bench_diff --allow-screened BASELINE.json SCREENED.json
 //   bench_diff --explain=PROFILES_A,PROFILES_B a.json b.json
 //
 // --explain upgrades the verdict into a diagnosis: when cells drifted and
@@ -28,10 +38,12 @@
 // JSON next to the text output, so CI can upload the directory as a
 // failure artifact.
 //
-// Exit 0: no simulated drift. Exit 1: drift (each divergence printed with
-// its JSON path). Exit 2: usage or I/O error. CI runs this against the
-// committed BENCH_tables.json, so any change to the simulation's output
-// must be accompanied by a regenerated baseline in the same commit.
+// Exit 0: no simulated drift. Exit 1: drift or a host timing beyond the
+// tolerance (each divergence printed with its JSON path; the summary
+// counts the two kinds apart). Exit 2: usage or I/O error. CI runs this
+// against the committed BENCH_tables.json, so any change to the
+// simulation's output must be accompanied by a regenerated baseline in the
+// same commit.
 //
 // The comparison core lives in bench/diff_compare.hpp so the unit tests
 // exercise the same code path as this gate.
@@ -167,9 +179,10 @@ int main(int argc, char** argv) {
     diff::Report rep;
     diff::compare(base, cur, "$", cfg, rep);
     if (rep.mismatches > 0) {
-      std::cout << "bench_diff: " << rep.mismatches
-                << " simulated field(s) drifted between " << files[0]
-                << " and " << files[1] << "\n";
+      std::cout << "bench_diff: " << rep.simulatedMismatches()
+                << " simulated field(s) drifted and " << rep.host_mismatches
+                << " host timing(s) beyond " << cfg.host_tolerance
+                << "x between " << files[0] << " and " << files[1] << "\n";
       if (!explain_a.empty()) {
         std::cout << "bench_diff: explaining " << rep.drifted_cells.size()
                   << " drifted cell(s) from " << explain_a << " vs "
@@ -183,6 +196,9 @@ int main(int argc, char** argv) {
               << cfg.host_tolerance << "x";
     if (rep.screened_skipped > 0)
       std::cout << ", " << rep.screened_skipped << " screened cells skipped";
+    if (rep.sweep_timings_skipped > 0)
+      std::cout << ", " << rep.sweep_timings_skipped
+                << " screened-sweep timings skipped";
     std::cout << ")\n";
     return 0;
   } catch (const std::exception& e) {

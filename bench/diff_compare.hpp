@@ -5,9 +5,11 @@
 // Contract (see bench_diff.cpp for the CLI story):
 //   * every field compares EXACTLY, except
 //   * host-timing keys get a ratio tolerance with an absolute floor and
-//     may be present in only one file, and
+//     may be present in only one file,
 //   * ignored keys ("jobs", "sim_threads", "host") never compare at all —
-//     they describe the machine that ran the suite, not the simulation.
+//     they describe the machine that ran the suite, not the simulation, and
+//   * under Config::allow_screened, screened cells and the sweep- and
+//     table-level host timings of a screened sweep never compare.
 #pragma once
 
 #include <algorithm>
@@ -41,15 +43,22 @@ struct Config {
   double host_floor_seconds = 5.0;
   // Accept cells one side skipped via the analytic screen ("screened":
   // true): such a cell carries a model prediction instead of simulated
-  // fields, so nothing in it compares. Off by default — the regression
-  // gate must never run against a screened artifact by accident.
+  // fields, so nothing in it compares. Likewise the host timings outside
+  // any cell (sweep- and table-level wall_seconds, serial_wall_seconds,
+  // speedup_vs_serial) of a screened sweep — a document carrying
+  // "screened_cells" — are not compared: they time a different set of
+  // cells than the other side's sweep. Per-cell host_seconds of simulated
+  // cells still compare. Off by default — the regression gate must never
+  // run against a screened artifact by accident.
   bool allow_screened = false;
 };
 
 struct Report {
-  int mismatches = 0;
+  int mismatches = 0;       // every kind; host_mismatches is a subset
+  int host_mismatches = 0;  // host timings beyond tolerance
   int host_checked = 0;
   int screened_skipped = 0;
+  int sweep_timings_skipped = 0;  // screened sweep's timings outside cells
   static constexpr int kMaxPrinted = 50;
   std::ostream* out = &std::cout;
   // Ids of the cells ("$.tables[].cells[]" objects, recognized by their
@@ -58,8 +67,14 @@ struct Report {
   // to difference.
   std::vector<std::string> drifted_cells;
   std::string current_cell;  // set while comparing inside a cell object
+  // Set while comparing inside a screened sweep under allow_screened.
+  bool in_screened_sweep = false;
 
-  void fail(const std::string& path, const std::string& why) {
+  int simulatedMismatches() const { return mismatches - host_mismatches; }
+
+  void fail(const std::string& path, const std::string& why,
+            bool host_timing = false) {
+    if (host_timing) ++host_mismatches;
     if (mismatches < kMaxPrinted)
       *out << "  " << path << ": " << why << "\n";
     else if (mismatches == kMaxPrinted)
@@ -91,6 +106,11 @@ inline bool isIgnoredKey(const std::string& key) {
 // Screen-provenance keys, ignored only under Config::allow_screened.
 inline bool isScreenKey(const std::string& key) {
   return key == "screen" || key == "screened_cells";
+}
+
+// A screened sweep carries the "screened_cells" provenance at its root.
+inline bool isScreenedSweep(const support::Json& v) {
+  return v.isObject() && v.find("screened_cells") != nullptr;
 }
 
 // Under allow_screened, an object marked "screened": true on either side
@@ -128,7 +148,7 @@ inline void checkHostTiming(const support::Json& base,
   using support::Json;
   if (base.type() != Json::Type::kNumber ||
       cur.type() != Json::Type::kNumber) {
-    rep.fail(path, "host-timing field is not a number");
+    rep.fail(path, "host-timing field is not a number", true);
     return;
   }
   ++rep.host_checked;
@@ -142,7 +162,7 @@ inline void checkHostTiming(const support::Json& base,
   std::snprintf(buf, sizeof(buf),
                 "host timing drifted beyond %.0fx: baseline %g vs current %g",
                 cfg.host_tolerance, a, b);
-  rep.fail(path, buf);
+  rep.fail(path, buf, true);
 }
 
 inline void compare(const support::Json& base, const support::Json& cur,
@@ -195,10 +215,20 @@ inline void compare(const support::Json& base, const support::Json& cur,
           id != nullptr && id->type() == Json::Type::kString;
       const std::string saved_cell = rep.current_cell;
       if (is_cell) rep.current_cell = id->asString();
+      const bool saved_screened_sweep = rep.in_screened_sweep;
+      if (cfg.allow_screened && (isScreenedSweep(base) || isScreenedSweep(cur)))
+        rep.in_screened_sweep = true;
       for (const auto& [key, bval] : base.members()) {
         if (isIgnoredKey(key)) continue;
         if (cfg.allow_screened && isScreenKey(key)) continue;
         const std::string sub = path + "." + key;
+        // A screened sweep's timings outside any cell time a different set
+        // of cells than the other side's sweep; only per-cell ones compare.
+        if (rep.in_screened_sweep && rep.current_cell.empty() &&
+            isHostTimingKey(key)) {
+          ++rep.sweep_timings_skipped;
+          continue;
+        }
         const Json* cval = cur.find(key);
         if (!cval) {
           // Host timings are run-shape dependent (e.g. serial_wall_seconds
@@ -218,6 +248,7 @@ inline void compare(const support::Json& base, const support::Json& cur,
         if (!base.find(key)) rep.fail(path + "." + key, "key appeared");
       }
       rep.current_cell = saved_cell;
+      rep.in_screened_sweep = saved_screened_sweep;
       return;
     }
   }

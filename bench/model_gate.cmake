@@ -59,9 +59,9 @@ elseif(GATE STREQUAL "screen")
                   RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR
-            "screen gate failed (exit ${rc}): a cell the screen did NOT "
-            "skip drifted from ${BASELINE} — screening must leave simulated "
-            "cells byte-identical")
+            "screen gate failed (exit ${rc}): bench_diff --allow-screened "
+            "found a mismatch against ${BASELINE} (see its output above) — "
+            "screening must leave simulated cells byte-identical")
   endif()
 else()
   message(FATAL_ERROR "model_gate.cmake: unknown GATE '${GATE}'")

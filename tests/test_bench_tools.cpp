@@ -579,5 +579,51 @@ TEST(DiffCompare, AllowScreenedSkipsPredictedCellsOnEitherSide) {
   EXPECT_EQ(runCompare(measured, drifted, cfg).mismatches, 1);
 }
 
+TEST(DiffCompare, AllowScreenedSkipsScreenedSweepTimingsOutsideCells) {
+  bench::diff::Config cfg;
+  cfg.allow_screened = true;
+  // A full sweep timed at 27 s against a screened one at 0.8 s: both
+  // timings are above the floor and 34x apart, but the screened sweep
+  // simulated fewer cells, so its sweep and table times do not compare.
+  const std::string full =
+      R"({"wall_seconds": 27.0,
+          "tables": [{"name": "t", "wall_seconds": 27.0, "cells": [
+            {"id": "a", "sim_seconds": 1.5, "host_seconds": 20.0},
+            {"id": "b", "sim_seconds": 2.5, "host_seconds": 7.0}]}]})";
+  const std::string screened =
+      R"({"screen": "model.json", "screened_cells": 1, "wall_seconds": 0.8,
+          "tables": [{"name": "t", "wall_seconds": 0.8, "cells": [
+            {"id": "a", "screened": true,
+             "predicted_seconds": 1.4, "screen_note": "m"},
+            {"id": "b", "sim_seconds": 2.5, "host_seconds": 0.7}]}]})";
+  bench::diff::Report rep = runCompare(full, screened, cfg);
+  EXPECT_EQ(rep.mismatches, 0);
+  EXPECT_EQ(rep.sweep_timings_skipped, 2);
+  EXPECT_EQ(rep.host_checked, 1);  // cell b's host_seconds still compares
+  rep = runCompare(screened, full, cfg);
+  EXPECT_EQ(rep.mismatches, 0);
+  EXPECT_EQ(rep.sweep_timings_skipped, 2);
+
+  // A simulated cell's host_seconds beyond 25x and above the floor still
+  // fails, counted as a host timing rather than simulated drift.
+  std::string slow_cell = screened;
+  slow_cell.replace(slow_cell.find("0.7"), 3, "0.2");
+  rep = runCompare(full, slow_cell, cfg);
+  EXPECT_EQ(rep.mismatches, 1);
+  EXPECT_EQ(rep.host_mismatches, 1);
+  EXPECT_EQ(rep.simulatedMismatches(), 0);
+
+  // The same sweep drift in an unscreened document still fails, with the
+  // flag set and without it.
+  std::string fast_sweep = full;
+  for (size_t at; (at = fast_sweep.find("27.0")) != std::string::npos;)
+    fast_sweep.replace(at, 4, "0.8");
+  rep = runCompare(full, fast_sweep, cfg);
+  EXPECT_EQ(rep.mismatches, 2);
+  EXPECT_EQ(rep.host_mismatches, 2);
+  EXPECT_EQ(rep.sweep_timings_skipped, 0);
+  EXPECT_EQ(mismatches(full, fast_sweep), 2);
+}
+
 }  // namespace
 }  // namespace vodsm
