@@ -131,6 +131,41 @@ void BM_DiffApply(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffApply)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
 
+// A fetched diff as a receiver handles it. BM_DiffDeserializeApply copies
+// the serialized diff into an owned Diff first, as fault handlers did;
+// BM_DiffViewApply reads and applies it in place.
+void BM_DiffDeserializeApply(benchmark::State& state) {
+  const double density = static_cast<double>(state.range(0)) / 100.0;
+  Bytes twin = makePage(1);
+  vodsm::Writer w;
+  Diff::create(0, mutate(twin, density, 2), twin).serialize(w);
+  const Bytes wire = w.take();
+  Bytes target = twin;
+  for (auto _ : state) {
+    vodsm::Reader r(wire);
+    Diff::deserialize(r).apply(target);
+    benchmark::DoNotOptimize(target.data());
+  }
+  state.counters["wire_bytes"] = static_cast<double>(wire.size());
+}
+BENCHMARK(BM_DiffDeserializeApply)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
+
+void BM_DiffViewApply(benchmark::State& state) {
+  const double density = static_cast<double>(state.range(0)) / 100.0;
+  Bytes twin = makePage(1);
+  vodsm::Writer w;
+  Diff::create(0, mutate(twin, density, 2), twin).serialize(w);
+  const Bytes wire = w.take();
+  Bytes target = twin;
+  for (auto _ : state) {
+    vodsm::Reader r(wire);
+    vodsm::mem::DiffView::read(r).apply(target);
+    benchmark::DoNotOptimize(target.data());
+  }
+  state.counters["wire_bytes"] = static_cast<double>(wire.size());
+}
+BENCHMARK(BM_DiffViewApply)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
+
 void BM_DiffIntegrate(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0)) / 100.0;
   Bytes base = makePage(1);

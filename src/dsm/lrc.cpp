@@ -49,11 +49,13 @@ void LrcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
       BarrReleaseMsg rel = BarrReleaseMsg::decode(d.payload);
       if (ctx_.proto.barrier == BarrierAlg::kTree) {
         // Fan the release down to our subtree before unblocking ourselves;
-        // the payload is the complete global set, forwarded verbatim.
+        // the payload is the complete global set, forwarded verbatim: the
+        // root posted it as one shared buffer, and every level passes that
+        // same buffer on.
         const sim::Time when = d.arrive + ctx_.costs.handler_service;
         for (int k = 0; k < treeChildCount(); ++k)
           ctx_.endpoint.post(treeChild(k), kBarrRelease,
-                             Bytes(d.payload.begin(), d.payload.end()), when);
+                             d.frame->sharedBody(), when);
       }
       auto it = barrier_waiters_.find(rel.barrier);
       VODSM_CHECK_MSG(it != barrier_waiters_.end(),
@@ -246,7 +248,7 @@ void LrcRuntime::closeInterval() {
              static_cast<int64_t>(diffs[i].wireSize()), ctx_.clock.now());
       m->add(ctx_.id, obs::Metric::kDiffStoreCount, 1, ctx_.clock.now());
     }
-    diff_log_[pages[i]].emplace_back(idx, std::move(diffs[i]));
+    diff_log_[pages[i]].push_back(LoggedDiff::encode(idx, diffs[i]));
   }
   mem::Interval iv;
   iv.node = ctx_.id;
@@ -275,7 +277,7 @@ sim::Task<void> LrcRuntime::readFault(mem::PageId p) {
     uint64_t vc_sum;  // linear extension of happens-before
     NodeId writer;
     uint32_t index;
-    mem::Diff diff;
+    mem::DiffView diff;  // points into its reply frame in `responses`
   };
   // One request per writer, all in flight at once (TreadMarks style).
   std::vector<net::RpcCall> calls;
@@ -296,8 +298,8 @@ sim::Task<void> LrcRuntime::readFault(mem::PageId p) {
     const NodeId writer = writers[r];
     ctx_.clock.atLeast(resp.arrive);
     VODSM_CHECK(resp.type == kDiffResp);
-    DiffRespMsg dr = DiffRespMsg::decode(resp.payload);
-    for (auto& [index, diff] : dr.diffs) {
+    DiffRespMsg dr = DiffRespMsg::decode(*resp.frame);
+    for (const auto& [index, diff] : dr.diffs) {
       // The interval's vector clock is known locally (its write notice came
       // with the interval). vc-sum linearizes happens-before: if a hb b,
       // a.vc <= b.vc pointwise and strictly somewhere, so sum(a) < sum(b).
@@ -306,7 +308,7 @@ sim::Task<void> LrcRuntime::readFault(mem::PageId p) {
       const mem::Interval& iv = intervals_by_writer_[writer][index - 1];
       uint64_t sum = 0;
       for (size_t k = 0; k < iv.vc.size(); ++k) sum += iv.vc[k];
-      collected.push_back(Fetched{sum, writer, index, std::move(diff)});
+      collected.push_back(Fetched{sum, writer, index, diff});
     }
   }
   std::sort(collected.begin(), collected.end(), [](const auto& a,
@@ -402,10 +404,11 @@ void LrcRuntime::onBarrArrive(const BarrArriveMsg& m, sim::Time arrive) {
   rel.intervals.reserve(st.merged.size());
   for (auto& [key, iv] : st.merged) rel.intervals.push_back(std::move(iv));
   // Keyed by (node, index): already sorted per writer ascending, which the
-  // receivers' contiguity check requires.
-  Bytes encoded = rel.encode();
+  // receivers' contiguity check requires. Encoded once; every node's release
+  // frame shares the buffer.
+  const SharedBytes encoded = std::make_shared<const Bytes>(rel.encode());
   for (NodeId n = 0; n < static_cast<NodeId>(ctx_.nprocs); ++n)
-    ctx_.endpoint.post(n, kBarrRelease, Bytes(encoded), st.busy_until);
+    ctx_.endpoint.post(n, kBarrRelease, encoded, st.busy_until);
   barrier_mgr_.erase(m.barrier);
 }
 
@@ -421,8 +424,11 @@ void LrcRuntime::treeBarrierStep(BarrierId b, BarrierMgrState& st) {
     rel.barrier = b;
     rel.intervals.reserve(st.merged.size());
     for (auto& [key, iv] : st.merged) rel.intervals.push_back(std::move(iv));
-    // Self-post: the release fans down the tree from the root.
-    ctx_.endpoint.post(ctx_.id, kBarrRelease, rel.encode(), st.busy_until);
+    // Self-post: the release fans down the tree from the root, one shared
+    // buffer all the way.
+    ctx_.endpoint.post(ctx_.id, kBarrRelease,
+                       std::make_shared<const Bytes>(rel.encode()),
+                       st.busy_until);
   } else {
     BarrArriveMsg up;
     up.barrier = b;

@@ -1,7 +1,10 @@
 // Wire formats for the DSM protocols.
 //
 // Every payload serializes through support/bytes.hpp, so message sizes in
-// the statistics tables are the real encoded sizes.
+// the statistics tables are the real encoded sizes: a message's size is its
+// head plus its shared segments (net::Payload), exactly the bytes one
+// contiguous encoding would hold. Only diff replies and barrier releases
+// carry segments.
 #pragma once
 
 #include <algorithm>
@@ -11,6 +14,7 @@
 #include "dsm/types.hpp"
 #include "mem/diff.hpp"
 #include "mem/write_notice.hpp"
+#include "net/frame.hpp"
 #include "net/stats.hpp"
 #include "support/bytes.hpp"
 
@@ -143,51 +147,68 @@ struct DiffReqMsg {
   }
 };
 
-// A writer's own diffs: page -> (ordering key, diff), ascending by key.
-using DiffLog =
-    std::unordered_map<mem::PageId,
-                       std::vector<std::pair<uint32_t, mem::Diff>>>;
+// One of a writer's own diffs, encoded once when its interval (LRC) or
+// version (VC_d) closes, in the form a diff reply carries it:
+// [key u32][Diff::serialize]. Every reply that includes it shares `wire`.
+struct LoggedDiff {
+  uint32_t key = 0;  // the writer interval index (LRC) or view version (VC_d)
+  SharedBytes wire;
 
+  static LoggedDiff encode(uint32_t key, const mem::Diff& d) {
+    Writer w(4 + d.wireSize());
+    w.u32(key);
+    d.serialize(w);
+    return {key, std::make_shared<const Bytes>(w.take())};
+  }
+};
+
+// A writer's own diffs: page -> logged diffs, ascending by key.
+using DiffLog = std::unordered_map<mem::PageId, std::vector<LoggedDiff>>;
+
+// Diff reply: a count head, then one logged diff per segment. On the wire
+// that is [count u32] followed by count x [key u32][diff].
 struct DiffRespMsg {
-  // (ordering key, diff) pairs; the key is the writer interval index (LRC)
-  // or the view version (VC_d).
-  std::vector<std::pair<uint32_t, mem::Diff>> diffs;
+  // (ordering key, diff) pairs read in place: each view points into the
+  // reply frame, which must outlive the message.
+  std::vector<std::pair<uint32_t, mem::DiffView>> diffs;
 
-  // Answers `req` straight from the writer's diff log, serializing each
-  // requested diff in place instead of copying it into a DiffRespMsg.
-  static Bytes encode(const DiffLog& log, const DiffReqMsg& req) {
+  // Answers `req` straight from the writer's diff log: the reply shares the
+  // logged segments instead of copying them.
+  static net::Payload encode(const DiffLog& log, const DiffReqMsg& req) {
     auto it = log.find(req.page);
     VODSM_CHECK_MSG(it != log.end(),
                     "diff request for page " << req.page << " with no diffs");
-    std::vector<std::pair<uint32_t, const mem::Diff*>> found;
-    found.reserve(req.interval_indices.size());
-    size_t total = 4;
+    net::Payload out;
+    out.segments.reserve(req.interval_indices.size());
     for (uint32_t want : req.interval_indices) {
       auto dit = std::lower_bound(
           it->second.begin(), it->second.end(), want,
-          [](const auto& e, uint32_t v) { return e.first < v; });
-      VODSM_CHECK_MSG(dit != it->second.end() && dit->first == want,
+          [](const LoggedDiff& e, uint32_t v) { return e.key < v; });
+      VODSM_CHECK_MSG(dit != it->second.end() && dit->key == want,
                       "missing diff for page " << req.page << " key "
                                                << want);
-      found.emplace_back(want, &dit->second);
-      total += 4 + dit->second.wireSize();
+      out.segments.push_back(dit->wire);
     }
-    Writer w(total);
-    w.u32(static_cast<uint32_t>(found.size()));
-    for (const auto& [key, d] : found) {
-      w.u32(key);
-      d->serialize(w);
-    }
-    return w.take();
+    Writer head(4);
+    head.u32(static_cast<uint32_t>(out.segments.size()));
+    out.head = head.take();
+    return out;
   }
-  static DiffRespMsg decode(ByteSpan b) {
-    Reader r(b);
+  // Reads the head's count, then one diff from each of the frame's
+  // segments, in order.
+  static DiffRespMsg decode(const net::FrameData& frame) {
+    Reader head(frame.payload.head);
+    const uint32_t n = head.u32();
+    VODSM_CHECK_MSG(head.done() && frame.payload.segments.size() == n,
+                    "diff reply with " << frame.payload.segments.size()
+                                       << " segments for " << n << " diffs");
     DiffRespMsg m;
-    const uint32_t n = r.u32();
     m.diffs.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t key = r.u32();
-      m.diffs.emplace_back(key, mem::Diff::deserialize(r));
+    for (const SharedBytes& seg : frame.payload.segments) {
+      Reader r(*seg);
+      const uint32_t key = r.u32();
+      m.diffs.emplace_back(key, mem::DiffView::read(r));
+      VODSM_CHECK_MSG(r.done(), "trailing bytes after a logged diff");
     }
     return m;
   }

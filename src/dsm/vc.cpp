@@ -63,7 +63,7 @@ void VcRuntime::onMessage(net::Delivery&& d, const net::ReplyToken& token) {
         const sim::Time when = d.arrive + ctx_.costs.handler_service;
         for (int k = 0; k < treeChildCount(); ++k)
           ctx_.endpoint.post(treeChild(k), kBarrRelease,
-                             Bytes(d.payload.begin(), d.payload.end()), when);
+                             d.frame->sharedBody(), when);
       }
       auto it = barrier_waiters_.find(rel.barrier);
       VODSM_CHECK_MSG(it != barrier_waiters_.end(),
@@ -208,7 +208,7 @@ sim::Task<void> VcRuntime::releaseView(ViewId v, bool readonly) {
                static_cast<int64_t>(d.wireSize()), ctx_.clock.now());
         m->add(ctx_.id, obs::Metric::kDiffStoreCount, 1, ctx_.clock.now());
       }
-      diff_log_[p].emplace_back(write_version_, std::move(d));
+      diff_log_[p].push_back(LoggedDiff::encode(write_version_, d));
     }
   }
   if (auto* t = ctx_.trace; t && dirty_pages > 0)
@@ -536,12 +536,13 @@ sim::Task<void> VcRuntime::readFault(mem::PageId p) {
   std::vector<net::RpcResult> responses =
       co_await net::requestAll(ctx_.endpoint, std::move(calls),
                                ctx_.clock.now());
-  std::vector<std::pair<uint32_t, mem::Diff>> collected;
+  // Views into the reply frames, which `responses` keeps alive.
+  std::vector<std::pair<uint32_t, mem::DiffView>> collected;
   for (const net::RpcResult& resp : responses) {
     ctx_.clock.atLeast(resp.arrive);
     VODSM_CHECK(resp.type == kVcDiffResp);
-    DiffRespMsg dr = DiffRespMsg::decode(resp.payload);
-    for (auto& kv : dr.diffs) collected.push_back(std::move(kv));
+    DiffRespMsg dr = DiffRespMsg::decode(*resp.frame);
+    collected.insert(collected.end(), dr.diffs.begin(), dr.diffs.end());
   }
   std::sort(collected.begin(), collected.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -646,9 +647,9 @@ void VcRuntime::onBarrArrive(const BarrArriveMsg& m, sim::Time arrive) {
   ctx_.stats.barriers++;
   BarrReleaseMsg rel;
   rel.barrier = m.barrier;
-  Bytes encoded = rel.encode();
+  const SharedBytes encoded = std::make_shared<const Bytes>(rel.encode());
   for (NodeId n = 0; n < static_cast<NodeId>(ctx_.nprocs); ++n)
-    ctx_.endpoint.post(n, kBarrRelease, Bytes(encoded), st.busy_until);
+    ctx_.endpoint.post(n, kBarrRelease, encoded, st.busy_until);
   barrier_mgr_.erase(m.barrier);
 }
 
@@ -658,8 +659,11 @@ void VcRuntime::treeBarrierStep(BarrierId b, BarrierMgrState& st) {
     ctx_.stats.barriers++;
     BarrReleaseMsg rel;
     rel.barrier = b;
-    // Self-post: the release fans down the tree from the root.
-    ctx_.endpoint.post(ctx_.id, kBarrRelease, rel.encode(), st.busy_until);
+    // Self-post: the release fans down the tree from the root, one shared
+    // buffer all the way.
+    ctx_.endpoint.post(ctx_.id, kBarrRelease,
+                       std::make_shared<const Bytes>(rel.encode()),
+                       st.busy_until);
   } else {
     BarrArriveMsg up;
     up.barrier = b;

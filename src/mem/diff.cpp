@@ -175,6 +175,46 @@ Diff Diff::deserialize(Reader& r) {
   return d;
 }
 
+namespace {
+// One entry of a serialized run table (see Diff::serialize): offset in the
+// low half of the little-endian word, length in the high half.
+Diff::Run runAt(ByteSpan table, size_t i) {
+  uint32_t word;
+  std::memcpy(&word, table.data() + 4 * i, 4);
+  return Diff::Run{static_cast<uint16_t>(word),
+                   static_cast<uint16_t>(word >> 16)};
+}
+}  // namespace
+
+DiffView DiffView::read(Reader& r) {
+  DiffView v;
+  v.page_ = r.u32();
+  const uint32_t n = r.u32();
+  v.runs_ = r.bytes(size_t{n} * 4);
+  v.data_ = r.blob();
+  size_t total = 0;
+  size_t end = 0;  // furthest byte any run reaches
+  for (size_t i = 0; i < n; ++i) {
+    const Diff::Run run = runAt(v.runs_, i);
+    total += run.length;
+    end = std::max(end, static_cast<size_t>(run.offset) + run.length);
+  }
+  VODSM_CHECK_MSG(total == v.data_.size() && end <= kPageSize,
+                  "corrupt diff encoding");
+  return v;
+}
+
+void DiffView::apply(MutByteSpan page_bytes) const {
+  VODSM_CHECK(page_bytes.size() == kPageSize);
+  size_t pos = 0;
+  for (size_t i = 0; i < runCount(); ++i) {
+    const Diff::Run run = runAt(runs_, i);
+    std::memcpy(page_bytes.data() + run.offset, data_.data() + pos,
+                run.length);
+    pos += run.length;
+  }
+}
+
 void Diff::addRun(uint16_t offset, ByteSpan bytes) {
   VODSM_CHECK(static_cast<size_t>(offset) + bytes.size() <= kPageSize);
   runs_.push_back(Run{offset, static_cast<uint16_t>(bytes.size())});

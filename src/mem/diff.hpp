@@ -59,6 +59,8 @@ class Diff {
   size_t wireSize() const { return 12 + runs_.size() * 4 + data_.size(); }
 
   void serialize(Writer& w) const;
+  // Copies the diff out of `r` into owned storage. DiffView::read reads the
+  // same encoding in place.
   static Diff deserialize(Reader& r);
 
   // Test/build helper: add one run with explicit bytes.
@@ -78,6 +80,31 @@ class Diff {
   PageId page_ = 0;
   std::vector<Run> runs_;
   Bytes data_;
+};
+
+// A serialized diff (Diff::serialize's layout) read in place: the run table
+// and the data stay in the buffer they arrived in, which must outlive the
+// view. A receiver applies a fetched diff straight from the frame that
+// carried it instead of first copying it into a Diff.
+class DiffView {
+ public:
+  // Consumes one serialized diff from `r`. Fails a check, as
+  // Diff::deserialize does, when the run lengths do not add up to the data;
+  // also when a run reaches past the page, since apply() writes in place.
+  static DiffView read(Reader& r);
+
+  PageId page() const { return page_; }
+  size_t runCount() const { return runs_.size() / 4; }
+  // Same as the equivalent Diff's wireSize().
+  size_t wireSize() const { return 12 + runs_.size() + data_.size(); }
+
+  // Same effect as Diff::apply on the equivalent Diff.
+  void apply(MutByteSpan page_bytes) const;
+
+ private:
+  PageId page_ = 0;
+  ByteSpan runs_;  // 4 bytes per run: offset u16, length u16 (little-endian)
+  ByteSpan data_;
 };
 
 }  // namespace vodsm::mem

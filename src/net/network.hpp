@@ -34,64 +34,13 @@
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "net/faults.hpp"
+#include "net/frame.hpp"
 #include "net/stats.hpp"
 #include "net/types.hpp"
 #include "support/bytes.hpp"
 #include "support/check.hpp"
 
 namespace vodsm::net {
-
-// One wire frame: an immutable, reference-counted byte buffer. The network,
-// the sender's retransmit state, switch duplicates, retransmissions and the
-// receiver's delivery all share one buffer instead of copying it; a frame is
-// freed when its last copy (in flight or held) goes away.
-//
-// `reply` is a host-only slot, never on the wire and never counted in the
-// frame's size: a responder parks its answer to a request frame there, so
-// every later copy of that request (a retransmission or a switch duplicate)
-// finds the reply and resends it without re-running the handler. The slot
-// is written and read only in the responder's lane.
-struct FrameData;
-using Frame = std::shared_ptr<const FrameData>;
-struct FrameData {
-  Bytes bytes;
-  mutable Frame reply;
-
-  size_t size() const { return bytes.size(); }
-};
-
-inline Frame makeFrame(Bytes bytes) {
-  return std::make_shared<FrameData>(FrameData{std::move(bytes), {}});
-}
-
-// Frame-header peeking. The layout is owned by the transport's encode()
-// (kind u8, seq u64 LE, type u16 LE, length-prefixed blob); the network
-// reads it only to attribute drops per message class and to derive wire
-// correlation ids — frames stay opaque otherwise. Pure-ack frames are
-// header-only (kind + seq) and carry no message type.
-inline uint8_t frameKind(const Frame& frame) {
-  return std::to_integer<uint8_t>(frame->bytes[0]);
-}
-inline uint64_t frameSeq(const Frame& frame) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) |
-        std::to_integer<uint64_t>(frame->bytes[static_cast<size_t>(1 + i)]);
-  return v;
-}
-inline uint16_t frameMsgType(const Frame& frame) {
-  return static_cast<uint16_t>(std::to_integer<uint16_t>(frame->bytes[9]) |
-                               (std::to_integer<uint16_t>(frame->bytes[10])
-                                << 8));
-}
-
-// The node whose sequence-number space `frame` belongs to: replies and acks
-// quote the original requester's sequence number, everything else uses the
-// sender's own. (send-side view: src is the frame's sender, dst its target.)
-inline NodeId frameSeqOwner(const Frame& frame, NodeId src, NodeId dst) {
-  const auto k = static_cast<FrameKind>(frameKind(frame));
-  return (k == FrameKind::kReply || k == FrameKind::kAck) ? dst : src;
-}
 
 class Network {
  public:
@@ -331,19 +280,18 @@ class Network {
   // id carries the frame kind, so consumers can attribute the drop to the
   // same flow as the original send.
   void recordDrop(NodeId src, NodeId dst, const Frame& frame) {
-    if (static_cast<FrameKind>(frameKind(frame)) == FrameKind::kAck) {
+    if (frame->kind == FrameKind::kAck) {
       statsFor(dst).ack_drops++;
     } else {
-      MsgClass c =
-          classify_ ? classify_(frameMsgType(frame)) : MsgClass::kOther;
+      MsgClass c = classify_ ? classify_(frame->type) : MsgClass::kOther;
       statsFor(dst).of(c).drops++;
     }
     if (trace_)
       trace_->instant(static_cast<uint32_t>(dst), obs::Cat::kDrop,
                       engine_.now(), src, frame->size(),
-                      obs::corrId(frameKind(frame),
-                                  frameSeqOwner(frame, src, dst),
-                                  frameSeq(frame)));
+                      obs::corrId(static_cast<uint8_t>(frame->kind),
+                                  frameSeqOwner(*frame, src, dst),
+                                  frame->seq));
     if (auto* m = metrics_) {
       m->add(src, obs::Metric::kInflightBytes,
              -static_cast<int64_t>(frame->size()), engine_.now());
@@ -358,9 +306,9 @@ class Network {
     if (trace_)
       trace_->instant(static_cast<uint32_t>(dst), obs::Cat::kFaultInject,
                       engine_.now(), static_cast<uint64_t>(k), frame->size(),
-                      obs::corrId(frameKind(frame),
-                                  frameSeqOwner(frame, src, dst),
-                                  frameSeq(frame)));
+                      obs::corrId(static_cast<uint8_t>(frame->kind),
+                                  frameSeqOwner(*frame, src, dst),
+                                  frame->seq));
   }
 
   void arriveSwitch(NodeId src, NodeId dst, Frame frame) {

@@ -49,7 +49,8 @@
 
 namespace vodsm::net {
 
-// `payload` is a view into `frame`, which keeps it alive.
+// `payload` is a view into `frame`, which keeps it alive: the whole body of
+// a single-part frame, the head of one with segments (FrameData::body()).
 struct Delivery {
   NodeId src = 0;
   uint16_t type = 0;
@@ -124,6 +125,8 @@ class Endpoint {
 
   NodeId self() const { return self_; }
   void setHandler(Handler h) { handler_ = std::move(h); }
+  // The installed handler, so a caller can wrap it (to observe deliveries).
+  const Handler& handler() const { return handler_; }
 
   // Maps the opaque u16 message type onto a MsgClass for the per-kind
   // traffic breakdown. Installed by the protocol layer; without one all
@@ -135,15 +138,17 @@ class Endpoint {
   void setTrace(obs::TraceRecorder* t) { trace_ = t; }
 
   // Reliable one-way message, leaving the node no earlier than `earliest`.
-  void post(NodeId dst, uint16_t type, Bytes payload, sim::Time earliest) {
+  // The frame takes the payload by move; its shared segments are carried,
+  // not copied, so one buffer can be posted to many nodes.
+  void post(NodeId dst, uint16_t type, Payload payload, sim::Time earliest) {
     const uint64_t seq = nextSeq(dst);
-    Frame frame = encode(FrameKind::kData, seq, type, payload);
+    Frame frame = makeFrame(FrameKind::kData, seq, type, std::move(payload));
     if (dst == self_) {
       sendLocal(std::move(frame), earliest);
       return;
     }
-    countSend(type, payload.size());
-    traceSend(type, payload.size(), earliest,
+    countSend(type, frame->payloadSize());
+    traceSend(type, frame->payloadSize(), earliest,
               obs::corrId(static_cast<uint8_t>(FrameKind::kData), self_, seq));
     auto [it, inserted] =
         pending_posts_.emplace(seq, Pending{dst, frame, {}});
@@ -156,7 +161,8 @@ class Endpoint {
   sim::Task<RpcResult> request(NodeId dst, uint16_t type, Bytes payload,
                                sim::Time earliest) {
     const uint64_t seq = nextSeq(dst);
-    Frame frame = encode(FrameKind::kRequest, seq, type, payload);
+    Frame frame =
+        makeFrame(FrameKind::kRequest, seq, type, std::move(payload));
     auto pending = std::make_unique<PendingRpc>();
     PendingRpc* p = pending.get();
     pending_rpcs_.emplace(seq, std::move(pending));
@@ -165,9 +171,9 @@ class Endpoint {
       // the frame.
       sendLocal(std::move(frame), earliest);
     } else {
-      countSend(type, payload.size());
+      countSend(type, frame->payloadSize());
       traceSend(
-          type, payload.size(), earliest,
+          type, frame->payloadSize(), earliest,
           obs::corrId(static_cast<uint8_t>(FrameKind::kRequest), self_, seq));
       p->dst = dst;
       p->frame = frame;
@@ -182,17 +188,19 @@ class Endpoint {
   // Answer a request identified by `token`. May be called from the handler
   // or later (the requester keeps retransmitting until it sees the reply, so
   // replies should not be deferred past ~RTO). The reply is parked in the
-  // request frame for duplicates of that request to find.
-  void reply(const ReplyToken& token, uint16_t type, Bytes payload,
+  // request frame for duplicates of that request to find; its segments stay
+  // shared with whoever else holds them (the responder's diff log).
+  void reply(const ReplyToken& token, uint16_t type, Payload payload,
              sim::Time earliest) {
-    Frame frame = encode(FrameKind::kReply, token.seq, type, payload);
+    Frame frame =
+        makeFrame(FrameKind::kReply, token.seq, type, std::move(payload));
     if (token.requester == self_) {
       sendLocal(std::move(frame), earliest);
       return;
     }
     token.request->reply = frame;
-    countSend(type, payload.size());
-    traceSend(type, payload.size(), earliest,
+    countSend(type, frame->payloadSize());
+    traceSend(type, frame->payloadSize(), earliest,
               obs::corrId(static_cast<uint8_t>(FrameKind::kReply),
                           token.requester, token.seq));
     network_.send(self_, token.requester, std::move(frame), earliest);
@@ -235,16 +243,6 @@ class Endpoint {
     return (uint64_t{pair++} << kPairShift) | next_seq_++;
   }
 
-  static Frame encode(FrameKind kind, uint64_t seq, uint16_t type,
-                      ByteSpan payload) {
-    Writer w(payload.size() + 16);
-    w.u8(static_cast<uint8_t>(kind));
-    w.u64(seq);
-    w.u16(type);
-    w.blob(payload);
-    return makeFrame(w.take());
-  }
-
   MsgClass classify(uint16_t type) const {
     return classify_ ? classify_(type) : MsgClass::kOther;
   }
@@ -270,19 +268,18 @@ class Endpoint {
   // that class separately so hot spots under loss are visible. `dst` is the
   // frame's target, needed to recover the sequence-number owner for the
   // correlation id (replies quote the requester's sequence space).
-  void countRetransmit(const Frame& frame, NodeId dst) {
-    const uint16_t type = frameMsgType(frame);
+  void countRetransmit(const FrameData& frame, NodeId dst) {
     stats().retransmissions++;
-    stats().of(classify(type)).retransmissions++;
-    countSend(type, payloadSize(frame));
+    stats().of(classify(frame.type)).retransmissions++;
+    countSend(frame.type, frame.payloadSize());
     // Deliberately not also a kSend instant: one event per wire action. The
     // correlation id ties the retransmission to the original send's flow.
     if (trace_)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kRetransmit,
-                      engine_.now(), type, payloadSize(frame),
-                      obs::corrId(frameKind(frame),
+                      engine_.now(), frame.type, frame.payloadSize(),
+                      obs::corrId(static_cast<uint8_t>(frame.kind),
                                   frameSeqOwner(frame, self_, dst),
-                                  frameSeq(frame)));
+                                  frame.seq));
   }
 
   void sendLocal(Frame frame, sim::Time earliest) {
@@ -297,7 +294,7 @@ class Endpoint {
   sim::Engine::TimerId armPostTimer(uint64_t seq) {
     return engine_.afterCancellable(network_.config().rto, [this, seq] {
       Pending& p = pending_posts_.at(seq);
-      countRetransmit(p.frame, p.dst);
+      countRetransmit(*p.frame, p.dst);
       network_.send(self_, p.dst, p.frame, engine_.now());
       p.timer = armPostTimer(seq);
     });
@@ -306,26 +303,20 @@ class Endpoint {
   sim::Engine::TimerId armRpcTimer(uint64_t seq) {
     return engine_.afterCancellable(network_.config().rto, [this, seq] {
       PendingRpc& p = *pending_rpcs_.at(seq);
-      countRetransmit(p.frame, p.dst);
+      countRetransmit(*p.frame, p.dst);
       network_.send(self_, p.dst, p.frame, engine_.now());
       p.timer = armRpcTimer(seq);
     });
   }
 
-  static size_t payloadSize(const Frame& frame) {
-    // Header is kind(1) + seq(8) + type(2) + blob length(4).
-    return frame->size() - 15;
-  }
-
   void onFrame(NodeId src, Frame frame, sim::Time arrive, bool via_wire) {
-    Reader r(frame->bytes);
-    const auto kind = static_cast<FrameKind>(r.u8());
-    const uint64_t seq = r.u64();
+    const FrameKind kind = frame->kind;
+    const uint64_t seq = frame->seq;
     if (trace_ && via_wire)
       trace_->instant(static_cast<uint32_t>(self_), obs::Cat::kDeliver, arrive,
                       static_cast<uint64_t>(kind), frame->size(),
                       obs::corrId(static_cast<uint8_t>(kind),
-                                  frameSeqOwner(frame, src, self_), seq));
+                                  frameSeqOwner(*frame, src, self_), seq));
     switch (kind) {
       case FrameKind::kAck: {
         auto it = pending_posts_.find(seq);
@@ -340,16 +331,16 @@ class Endpoint {
         if (it == pending_rpcs_.end()) return;  // duplicate reply
         PendingRpc& p = *it->second;
         engine_.cancel(p.timer);
-        const uint16_t type = r.u16();
-        ByteSpan payload = r.blob();
+        const uint16_t type = frame->type;
+        const ByteSpan payload = frame->body();
         p.waiter.fulfill(RpcResult{type, payload, arrive, std::move(frame)});
         return;
       }
       case FrameKind::kData: {
         if (via_wire) sendAck(src, seq);
         if (!seen_[src].markSeen(seq >> kPairShift)) return;  // duplicate
-        const uint16_t type = r.u16();
-        ByteSpan payload = r.blob();
+        const uint16_t type = frame->type;
+        const ByteSpan payload = frame->body();
         dispatch(Delivery{src, type, payload, arrive, std::move(frame)},
                  ReplyToken{});
         return;
@@ -361,13 +352,13 @@ class Endpoint {
           // original is still being processed and the requester's next
           // timeout will retry.
           if (frame->reply && via_wire) {
-            countRetransmit(frame->reply, src);
+            countRetransmit(*frame->reply, src);
             network_.send(self_, src, frame->reply, engine_.now());
           }
           return;
         }
-        const uint16_t type = r.u16();
-        ByteSpan payload = r.blob();
+        const uint16_t type = frame->type;
+        const ByteSpan payload = frame->body();
         ReplyToken token{src, seq, frame};
         dispatch(Delivery{src, type, payload, arrive, std::move(frame)},
                  token);
@@ -382,9 +373,6 @@ class Endpoint {
   }
 
   void sendAck(NodeId src, uint64_t seq) {
-    Writer w(16);
-    w.u8(static_cast<uint8_t>(FrameKind::kAck));
-    w.u64(seq);
     stats().acks++;
     // Acks are counted outside the message statistics, but they are traced:
     // graph analysis wants every deliver to have a matching send. Type 0 is
@@ -394,7 +382,8 @@ class Endpoint {
                       engine_.now(), 0, 0,
                       obs::corrId(static_cast<uint8_t>(FrameKind::kAck), src,
                                   seq));
-    network_.send(self_, src, makeFrame(w.take()), engine_.now());
+    network_.send(self_, src, makeFrame(FrameKind::kAck, seq, 0, {}),
+                  engine_.now());
   }
 
   sim::Engine& engine_;

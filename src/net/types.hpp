@@ -12,8 +12,9 @@ namespace vodsm::net {
 
 using NodeId = uint32_t;
 
-// Message kinds on the wire. Shared between the transport (which encodes
-// them) and the network model (which peeks at them to attribute drops).
+// Message kinds on the wire. Shared between the transport (which sets them
+// on each frame) and the network model (which reads them to attribute
+// drops).
 enum class FrameKind : uint8_t {
   kData = 0,
   kRequest = 1,

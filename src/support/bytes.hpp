@@ -5,9 +5,11 @@
 // ranges; Reader consumes them with bounds checking.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -18,6 +20,9 @@ namespace vodsm {
 using Bytes = std::vector<std::byte>;
 using ByteSpan = std::span<const std::byte>;
 using MutByteSpan = std::span<std::byte>;
+// An immutable buffer shared by reference count: written once, then read by
+// every holder (a log entry, the frames carrying it) without copying.
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 // Appends primitive values to a growable byte buffer.
 class Writer {
@@ -38,8 +43,14 @@ class Writer {
   void bytes(ByteSpan b) { appendRaw(b.data(), b.size()); }
 
   // Pre-size for `n` further bytes so hot serialization paths (diff-heavy
-  // messages) append without intermediate reallocations.
-  void reserveMore(size_t n) { buf_.reserve(buf_.size() + n); }
+  // messages) append without intermediate reallocations. Growth stays
+  // geometric: reserve() allocates exactly what it is asked for, so asking
+  // for size() + n on every call would reallocate once per call.
+  void reserveMore(size_t n) {
+    const size_t need = buf_.size() + n;
+    if (need > buf_.capacity())
+      buf_.reserve(std::max(need, 2 * buf_.capacity()));
+  }
 
   // Length-prefixed byte range.
   void blob(ByteSpan b) {
@@ -48,6 +59,7 @@ class Writer {
   }
 
   size_t size() const { return buf_.size(); }
+  size_t capacity() const { return buf_.capacity(); }
   Bytes take() { return std::move(buf_); }
   ByteSpan view() const { return buf_; }
 

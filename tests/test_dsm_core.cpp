@@ -194,6 +194,56 @@ TEST(LrcTraditional, FalseSharingCounters) {
   SUCCEED();
 }
 
+// A diff reply is a count head plus the writer's logged diffs as shared
+// segments. Concatenated, head and segments must be byte for byte the
+// single-buffer encoding replies had before ([count u32] then
+// [key u32][Diff::serialize] per requested diff), so every message and
+// wire size is unchanged; and the receiver reads back the same diffs.
+TEST(DiffRespWire, SegmentedReplyIsTheSingleBufferEncoding) {
+  constexpr mem::PageId kPage = 3;
+  std::vector<mem::Diff> diffs;
+  dsm::DiffLog log;
+  Bytes twin(mem::kPageSize);
+  for (uint32_t key = 1; key <= 6; ++key) {
+    Bytes cur = twin;
+    for (size_t i = 0; i < key * 40; i += 8) cur[key * 100 + i] = std::byte{7};
+    diffs.push_back(mem::Diff::create(kPage, cur, twin));
+    log[kPage].push_back(dsm::LoggedDiff::encode(key, diffs.back()));
+  }
+  const dsm::DiffReqMsg req{kPage, {2, 4, 5}};
+  const net::Payload reply = dsm::DiffRespMsg::encode(log, req);
+
+  Bytes joined = reply.head;
+  for (const SharedBytes& seg : reply.segments)
+    joined.insert(joined.end(), seg->begin(), seg->end());
+  Writer old;
+  old.u32(3);
+  for (uint32_t key : req.interval_indices) {
+    old.u32(key);
+    diffs[key - 1].serialize(old);
+  }
+  EXPECT_EQ(joined, old.take());
+  EXPECT_EQ(reply.size(), joined.size());
+  // Shared with the log, not copied.
+  ASSERT_EQ(reply.segments.size(), 3u);
+  EXPECT_EQ(reply.segments[0], log[kPage][1].wire);
+
+  const net::Frame frame =
+      net::makeFrame(net::FrameKind::kReply, 0, dsm::kDiffResp, reply);
+  EXPECT_EQ(frame->size(), 15 + joined.size());
+  const dsm::DiffRespMsg back = dsm::DiffRespMsg::decode(*frame);
+  ASSERT_EQ(back.diffs.size(), 3u);
+  for (size_t i = 0; i < back.diffs.size(); ++i) {
+    const uint32_t key = req.interval_indices[i];
+    EXPECT_EQ(back.diffs[i].first, key);
+    Bytes via_view = twin;
+    back.diffs[i].second.apply(via_view);
+    Bytes via_diff = twin;
+    diffs[key - 1].apply(via_diff);
+    EXPECT_EQ(via_view, via_diff);
+  }
+}
+
 // Locks must serialize a read-modify-write on LRC.
 TEST(LrcTraditional, LockProtectedCounter) {
   constexpr int kProcs = 7;

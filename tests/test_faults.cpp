@@ -331,6 +331,56 @@ TEST(FaultTransport, ReplyIsFreedWithItsRequest) {
   EXPECT_TRUE(reply.expired());
 }
 
+// The same lifetime for a reply that shares its body: a diff reply's
+// segments are the responder's logged diffs. Under dup:p=1 every request
+// arrives twice, and the copy is answered from the parked reply without
+// re-running the handler. The parked reply, and what the requester
+// receives, alias the responder's buffer rather than copying it, and the
+// reply is still freed with its request, leaving the responder's log as
+// the buffer's only holder.
+TEST(FaultTransport, SegmentedReplyIsResentFromItsRequestUnderDup) {
+  Pair p(fastRto());
+  FaultInjector inj(parseFaultPlan("dup:p=1"), 1, 2);
+  p.net.setFaults(&inj);
+  const SharedBytes logged = std::make_shared<const Bytes>(Bytes(256));
+  std::weak_ptr<const FrameData> request;
+  std::weak_ptr<const FrameData> reply;
+  int served = 0;
+  bool parked_aliases = false;
+  p.b.setHandler([&](Delivery&& d, const ReplyToken& tok) {
+    served++;
+    Payload body{Bytes(4)};
+    body.segments.push_back(logged);
+    p.b.reply(tok, static_cast<uint16_t>(d.type + 1), std::move(body),
+              d.arrive);
+    request = tok.request;
+    reply = tok.request->reply;
+    parked_aliases = tok.request->reply &&
+                     tok.request->reply->payload.segments.at(0) == logged;
+  });
+  int completed = 0;
+  bool received_aliases = false;
+  sim::spawn([](Endpoint& ep, const SharedBytes& want, int& done,
+                bool& aliases) -> sim::Task<void> {
+    RpcResult r = co_await ep.request(1, 5, Bytes(64), 0);
+    aliases = r.frame->payload.segments.at(0) == want;
+    done++;
+  }(p.a, logged, completed, received_aliases));
+  p.engine.run();
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(served, 1);
+  EXPECT_TRUE(parked_aliases);
+  EXPECT_TRUE(received_aliases);
+  // The duplicate request drew one resend of the parked reply, and no RTO
+  // fired.
+  EXPECT_GT(p.net.stats().frames_duplicated, 0u);
+  EXPECT_EQ(p.net.stats().retransmissions, 1u);
+  EXPECT_EQ(p.net.stats().of(MsgClass::kOther).retransmissions, 1u);
+  EXPECT_TRUE(request.expired());
+  EXPECT_TRUE(reply.expired());
+  EXPECT_EQ(logged.use_count(), 1);
+}
+
 TEST(FaultTransport, PartitionWindowYieldsExactRetransmitCount) {
   Pair p(fastRto());
   // Node 1 unreachable for 120 ms with a 50 ms RTO: the original send and

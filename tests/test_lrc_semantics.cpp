@@ -185,5 +185,63 @@ TEST(LrcSemantics, ColdPagesCostNothing) {
   EXPECT_EQ(cluster.dsmStats().diff_requests, 0u);
 }
 
+// The buffers that carried every barrier-release delivery of one LRC
+// barrier on `nprocs` nodes. Each node first writes its own word of one
+// shared page, so the release carries nprocs intervals. The stack is built
+// by hand so each endpoint's handler can be wrapped to see the frames.
+std::vector<SharedBytes> releaseBuffers(dsm::BarrierAlg alg, int nprocs) {
+  sim::Engine engine;
+  net::Network network(engine, nprocs, net::NetConfig{}, 1);
+  dsm::ViewMap views;
+  const size_t off = views.allocRaw(static_cast<size_t>(nprocs) * 8);
+  dsm::ProtoOptions proto;
+  proto.barrier = alg;
+  std::vector<std::unique_ptr<dsm::NodeCtx>> ctxs;
+  std::vector<std::unique_ptr<dsm::LrcRuntime>> runtimes;
+  std::vector<SharedBytes> seen;
+  for (int i = 0; i < nprocs; ++i) {
+    ctxs.push_back(std::make_unique<dsm::NodeCtx>(
+        static_cast<dsm::NodeId>(i), nprocs, engine, network, views,
+        dsm::DsmCosts{}, nullptr, nullptr, proto));
+    runtimes.push_back(std::make_unique<dsm::LrcRuntime>(*ctxs.back()));
+    net::Endpoint& ep = ctxs.back()->endpoint;
+    ep.setHandler([inner = ep.handler(), &seen](net::Delivery&& d,
+                                               const net::ReplyToken& tok) {
+      if (d.type == dsm::kBarrRelease)
+        seen.push_back(d.frame->payload.segments.empty()
+                           ? nullptr
+                           : d.frame->payload.segments.front());
+      inner(std::move(d), tok);
+    });
+  }
+  sim::TaskScope scope;  // after the runtimes: frames go first
+  for (int i = 0; i < nprocs; ++i) {
+    sim::spawn(scope, [](dsm::Runtime& rt, size_t at) -> sim::Task<void> {
+      co_await rt.touchWrite(at, 8);
+      rt.ctx().store.range(at, 8)[0] = std::byte{1};
+      co_await rt.barrier(0);
+    }(*runtimes[static_cast<size_t>(i)], off + static_cast<size_t>(i) * 8));
+  }
+  engine.run();
+  return seen;
+}
+
+// The central manager encodes the merged release once and posts that one
+// buffer to all p nodes (not a copy per destination); the tree root posts
+// its release as one buffer and every level forwards it unchanged.
+TEST(LrcSemantics, BarrierReleaseDeliveriesShareOneBuffer) {
+  constexpr int kProcs = 8;
+  for (dsm::BarrierAlg alg :
+       {dsm::BarrierAlg::kCentral, dsm::BarrierAlg::kTree}) {
+    SCOPED_TRACE(static_cast<int>(alg));
+    const std::vector<SharedBytes> seen = releaseBuffers(alg, kProcs);
+    ASSERT_EQ(seen.size(), static_cast<size_t>(kProcs));
+    ASSERT_NE(seen[0], nullptr);
+    const dsm::BarrReleaseMsg rel = dsm::BarrReleaseMsg::decode(*seen[0]);
+    EXPECT_EQ(rel.intervals.size(), static_cast<size_t>(kProcs));
+    for (const SharedBytes& b : seen) EXPECT_EQ(b.get(), seen[0].get());
+  }
+}
+
 }  // namespace
 }  // namespace vodsm

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "dsm/view_map.hpp"
@@ -203,6 +204,75 @@ TEST(Diff, IntegrationMatchesByteOverlay) {
   }
 }
 
+// DiffView reads Diff::serialize's encoding in place. Reading and applying
+// it must do exactly what deserializing into a Diff and applying that does:
+// same page, run count and wire size, same page bytes afterwards.
+void expectViewMatchesDeserialized(const Diff& d, sim::Rng& rng) {
+  Writer w;
+  d.serialize(w);
+  const Bytes encoded = w.take();
+  Reader owned_reader(encoded);
+  const Diff owned = Diff::deserialize(owned_reader);
+  Reader view_reader(encoded);
+  const mem::DiffView view = mem::DiffView::read(view_reader);
+  ASSERT_TRUE(view_reader.done());
+  ASSERT_EQ(view.page(), owned.page());
+  ASSERT_EQ(view.runCount(), owned.runs().size());
+  ASSERT_EQ(view.wireSize(), owned.wireSize());
+  const Bytes base = randomPage(rng);
+  Bytes via_owned = base;
+  owned.apply(via_owned);
+  Bytes via_view = base;
+  view.apply(via_view);
+  ASSERT_EQ(via_view, via_owned);
+}
+
+TEST(DiffView, ApplyMatchesDeserializedDiff) {
+  sim::Rng rng(4242);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const uint64_t gap = uint64_t{1} << rng.below(12);
+    const Diff d = rng.below(10) == 0 ? Diff(9) : randomRunDiff(rng, gap);
+    SCOPED_TRACE(trial);
+    expectViewMatchesDeserialized(d, rng);
+  }
+  // Diffs as the protocols make them: word-granular twin comparisons.
+  for (double density : {0.01, 0.1, 0.5, 0.9}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const Bytes twin = randomPage(rng);
+      Bytes cur = twin;
+      mutatePage(rng, cur, density);
+      SCOPED_TRACE(density);
+      expectViewMatchesDeserialized(Diff::create(4, cur, twin), rng);
+    }
+  }
+}
+
+TEST(DiffView, RejectsCorruptEncoding) {
+  Diff d(5);
+  d.addRun(8, Bytes(16, std::byte{1}));
+  d.addRun(64, Bytes(4, std::byte{2}));
+  Writer w;
+  d.serialize(w);
+  const Bytes good = w.take();
+  // Layout: page u32, run count u32, then (offset u16, length u16) per run.
+  constexpr size_t kFirstLength = 10;
+  constexpr size_t kSecondOffset = 12;
+  Bytes bad_total = good;
+  bad_total[kFirstLength] = std::byte{17};  // runs add up to 21, data is 20
+  Reader r1(bad_total);
+  EXPECT_THROW(mem::DiffView::read(r1), Error);
+  Reader r2(bad_total);
+  EXPECT_THROW(Diff::deserialize(r2), Error);  // the same check
+  // Applying in place must never write past the page.
+  Bytes past_page = good;
+  const uint16_t off = kPageSize - 2;
+  std::memcpy(past_page.data() + kSecondOffset, &off, 2);
+  Reader r3(past_page);
+  EXPECT_THROW(mem::DiffView::read(r3), Error);
+  Reader r4(ByteSpan(good).first(good.size() - 1));
+  EXPECT_THROW(mem::DiffView::read(r4), Error);  // short read
+}
+
 TEST(PageStore, TwinLifecycle) {
   mem::PageStore store(4 * kPageSize);
   EXPECT_EQ(store.pageCount(), 4u);
@@ -314,6 +384,30 @@ TEST(BytesIO, WriterReaderRoundTrip) {
   ByteSpan blob = r.blob();
   EXPECT_EQ(blob.size(), 2u);
   EXPECT_TRUE(r.done());
+}
+
+// Diff::serialize reserves room for itself before appending. Into an
+// unsized Writer (a message that does not pre-size), that must still grow
+// the buffer geometrically: N serializes cost O(log N) reallocations, not N.
+TEST(BytesIO, ReserveMoreGrowsGeometrically) {
+  sim::Rng rng(9);
+  const Bytes twin = randomPage(rng);
+  Bytes cur = twin;
+  mutatePage(rng, cur, 0.01);
+  const Diff d = Diff::create(1, cur, twin);
+  constexpr int kSerializes = 4096;
+  Writer w;
+  size_t capacity = w.capacity();
+  int changes = 0;
+  for (int i = 0; i < kSerializes; ++i) {
+    d.serialize(w);
+    if (w.capacity() != capacity) {
+      capacity = w.capacity();
+      ++changes;
+    }
+  }
+  EXPECT_EQ(w.size(), kSerializes * d.wireSize());
+  EXPECT_LE(changes, 14);  // log2(4096) + 2
 }
 
 TEST(BytesIO, ShortReadThrows) {

@@ -13,6 +13,12 @@
 namespace vodsm::net {
 namespace {
 
+// A data frame that occupies `wire_bytes` on the wire, header included.
+Frame dataFrame(size_t wire_bytes) {
+  return makeFrame(FrameKind::kData, 0, 1,
+                   Bytes(wire_bytes - FrameData::kHeaderBytes));
+}
+
 TEST(NetConfig, WireMath) {
   NetConfig c;
   EXPECT_EQ(c.wireBytes(0), c.header_bytes);
@@ -27,6 +33,45 @@ TEST(NetConfig, WireMath) {
               static_cast<double>(sim::usec(100)), 1000.0);
 }
 
+// What a frame measured when the transport byte-encoded it: kind u8,
+// seq u64, then (all but acks) type u16 and the length-prefixed body.
+size_t byteEncodedSize(FrameKind kind, uint16_t type, ByteSpan body) {
+  Writer w;
+  w.u8(static_cast<uint8_t>(kind));
+  w.u64(0x0123456789abcdefull);
+  if (kind != FrameKind::kAck) {
+    w.u16(type);
+    w.blob(body);
+  }
+  return w.size();
+}
+
+TEST(Frame, SizeIsTheByteEncodedSize) {
+  const SharedBytes seg_a = std::make_shared<const Bytes>(Bytes(300));
+  const SharedBytes seg_b = std::make_shared<const Bytes>(Bytes(1700));
+  for (FrameKind kind :
+       {FrameKind::kData, FrameKind::kRequest, FrameKind::kReply}) {
+    for (size_t head : {size_t{0}, size_t{4}, size_t{1500}}) {
+      const Frame plain = makeFrame(kind, 7, 5, Bytes(head));
+      EXPECT_EQ(plain->size(), byteEncodedSize(kind, 5, Bytes(head)));
+      EXPECT_EQ(plain->payloadSize(), head);
+      Payload body{Bytes(head)};
+      body.segments = {seg_a, seg_b};
+      const Frame segmented = makeFrame(kind, 7, 5, std::move(body));
+      EXPECT_EQ(segmented->size(),
+                byteEncodedSize(kind, 5, Bytes(head + 300 + 1700)));
+      EXPECT_EQ(segmented->payloadSize(), head + 2000);
+    }
+  }
+  const Frame ack = makeFrame(FrameKind::kAck, 7, 0, {});
+  EXPECT_EQ(ack->size(), byteEncodedSize(FrameKind::kAck, 0, {}));
+  EXPECT_EQ(ack->size(), 9u);
+  // A lone segment is the whole body, shared rather than copied.
+  const Frame shared = makeFrame(FrameKind::kData, 1, 5, seg_a);
+  EXPECT_EQ(shared->body().data(), seg_a->data());
+  EXPECT_EQ(shared->sharedBody(), seg_a);
+}
+
 TEST(Network, DeliversWithLatencyAndBandwidth) {
   sim::Engine e;
   NetConfig cfg;
@@ -37,7 +82,7 @@ TEST(Network, DeliversWithLatencyAndBandwidth) {
     EXPECT_EQ(frame->size(), 1000u);
     delivered_at = t;
   });
-  net.send(0, 1, makeFrame(Bytes(1000)), 0);
+  net.send(0, 1, dataFrame(1000), 0);
   e.run();
   // send overhead + uplink tx + latency + downlink tx + recv service.
   sim::Time expect = cfg.sendOverhead(1000) + 2 * cfg.txTime(1000) +
@@ -53,8 +98,8 @@ TEST(Network, UplinkSerializesBackToBackSends) {
   std::vector<sim::Time> arrivals;
   net.setDeliver(1, [&](NodeId, Frame, sim::Time t) { arrivals.push_back(t); });
   net.setDeliver(2, [&](NodeId, Frame, sim::Time t) { arrivals.push_back(t); });
-  net.send(0, 1, makeFrame(Bytes(10000)), 0);
-  net.send(0, 2, makeFrame(Bytes(10000)), 0);
+  net.send(0, 1, dataFrame(10000), 0);
+  net.send(0, 2, dataFrame(10000), 0);
   e.run();
   ASSERT_EQ(arrivals.size(), 2u);
   // The second frame waits for the first to clear the shared uplink.
@@ -70,7 +115,7 @@ TEST(Network, RxQueueOverflowDrops) {
   int delivered = 0;
   net.setDeliver(0, [&](NodeId, Frame, sim::Time) { delivered++; });
   for (NodeId src = 1; src < 5; ++src)
-    net.send(src, 0, makeFrame(Bytes(10)), 0);
+    net.send(src, 0, dataFrame(16), 0);
   e.run();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.stats().frames_dropped_overflow, 2u);
@@ -84,7 +129,7 @@ TEST(Network, RandomLossDropsProportionally) {
   int delivered = 0;
   net.setDeliver(1, [&](NodeId, Frame, sim::Time) { delivered++; });
   for (int i = 0; i < 200; ++i)
-    net.send(0, 1, makeFrame(Bytes(10)), sim::msec(i));
+    net.send(0, 1, dataFrame(16), sim::msec(i));
   e.run();
   EXPECT_GT(delivered, 50);
   EXPECT_LT(delivered, 150);
@@ -217,6 +262,30 @@ TEST(Transport, StatsCountPayloadBytes) {
   p.engine.run();
   EXPECT_EQ(p.net.stats().messages, 1u);
   EXPECT_EQ(p.net.stats().payload_bytes, 500u);
+}
+
+// A segmented body counts, travels and is timed as its concatenation, and
+// reaches the receiver as the sender's own buffers.
+TEST(Transport, SegmentedPayloadCountsItsWholeBody) {
+  Pair p;
+  const SharedBytes seg = std::make_shared<const Bytes>(Bytes(2000));
+  const Bytes* received = nullptr;
+  size_t frame_bytes = 0;
+  p.b.setHandler([&](Delivery&& d, const ReplyToken&) {
+    EXPECT_EQ(d.payload.size(), 8u);  // the head
+    received = d.frame->payload.segments.at(0).get();
+    frame_bytes = d.frame->size();
+  });
+  Payload body{Bytes(8)};
+  body.segments.push_back(seg);
+  p.a.post(1, 9, std::move(body), 0);
+  p.engine.run();
+  EXPECT_EQ(received, seg.get());
+  EXPECT_EQ(frame_bytes, 15u + 2008u);
+  EXPECT_EQ(p.net.stats().payload_bytes, 2008u);
+  EXPECT_EQ(p.net.stats().wire_bytes,
+            p.cfg.wireBytes(15 + 2008) + p.cfg.wireBytes(9));  // + the ack
+  EXPECT_EQ(seg.use_count(), 1);  // the delivered frame is gone
 }
 
 // One sender fanning out round-robin: every receiver sees its own
