@@ -11,8 +11,8 @@
 //     speedup_vs_serial) get a ratio tolerance with an absolute floor —
 //     sub-floor timings are noise and always pass — and may be present in
 //     only one of the two files, and
-//   * host run-shape/provenance keys ("jobs", "sim_threads", the "host"
-//     metadata object) are ignored outright.
+//   * host run-shape/provenance keys ("jobs", the "host" metadata object;
+//     see diff::isIgnoredKey) are ignored outright.
 //
 // --allow-screened accepts an artifact from table_suite --screen: cells
 // marked "screened": true on either side carry a model prediction, not

@@ -1,13 +1,10 @@
-// Microbenchmark: event throughput of the discrete-event engine, serial
-// versus the lane-partitioned parallel schedule at 1/2/4/8 worker threads.
+// Microbenchmark: event throughput of the serial discrete-event engine.
 //
-// The synthetic workload runs one self-rescheduling event chain per lane
-// (one lane per simulated node); a configurable fraction of events also
-// posts a cross-lane frame via atLane at exactly the lookahead horizon —
-// the worst legal case for the conservative window schedule. Host-time
-// events/second is the interesting output; the simulated schedule (and
-// total event count) is identical for every thread count, so the counters
-// double as a cheap self-check.
+// The lane workload runs one self-rescheduling event chain per lane (one
+// lane per simulated node); a configurable fraction of events also posts a
+// cross-lane frame via atLane, the hop every simulated network frame
+// takes. The event count is the same every iteration, so the counter
+// doubles as a cheap self-check.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -55,12 +52,12 @@ class Driver {
     s.lcg = s.lcg * 1664525u + 1013904223u;
     if (nlanes_ > 1 && static_cast<int>((s.lcg >> 16) % 1000) < permille_) {
       const uint32_t dst = (li + 1 + s.lcg % (nlanes_ - 1)) % nlanes_;
-      // Post at exactly now + lookahead: the tightest legal cross-lane
-      // frame, landing on the very next conservative window.
-      e_.atLane(dst, e_.now() + e_.lookahead(), [] {});
+      e_.atLane(dst, e_.now() + kHop, [] {});
     }
     if (s.remaining > 0) e_.after(sim::usec(1), [this, li] { step(li); });
   }
+
+  static constexpr sim::Time kHop = sim::usec(50);
 
   sim::Engine& e_;
   uint32_t nlanes_;
@@ -69,15 +66,13 @@ class Driver {
 };
 
 void BM_EngineLanes(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int permille = static_cast<int>(state.range(1));
+  const int permille = static_cast<int>(state.range(0));
   constexpr uint32_t kLanes = 16;
   constexpr uint64_t kPerLane = 2000;
   uint64_t events = 0;
   for (auto _ : state) {
     sim::Engine e;
-    e.configureLanes(kLanes, threads);
-    e.setLookahead(sim::usec(50));
+    e.configureLanes(kLanes);
     Driver d(e, kLanes, permille, kPerLane);
     d.start();
     events = e.run();
@@ -88,13 +83,12 @@ void BM_EngineLanes(benchmark::State& state) {
   state.counters["events"] = static_cast<double>(events);
 }
 BENCHMARK(BM_EngineLanes)
-    ->ArgNames({"threads", "cross_permille"})
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 50, 300}})
+    ->ArgNames({"cross_permille"})
+    ->ArgsProduct({{0, 50, 300}})
     ->Unit(benchmark::kMillisecond);
 
-// Single-lane serial scheduling hot path: heap push/pop and callback-pool
-// recycling with no lane machinery engaged. Guards the classic engine
-// against regressions from the lane-partitioned refactor.
+// Single-lane scheduling hot path: heap push/pop and callback-pool
+// recycling on one stamp counter.
 void BM_EngineSerialChain(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
@@ -111,28 +105,6 @@ void BM_EngineSerialChain(benchmark::State& state) {
                           static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineSerialChain)->Arg(1000)->Arg(100000);
-
-// Wide heap: k independent chains interleaved in one serial engine, so the
-// heap holds k pending events at all times (sift depth ~log k).
-void BM_EngineSerialWide(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  constexpr uint64_t kPerChain = 1000;
-  for (auto _ : state) {
-    sim::Engine e;
-    std::vector<uint64_t> left(static_cast<size_t>(k), kPerChain);
-    std::function<void(int)> step = [&](int c) {
-      if (--left[static_cast<size_t>(c)] > 0)
-        e.after(sim::usec(1), [&step, c] { step(c); });
-    };
-    for (int c = 0; c < k; ++c)
-      e.at(sim::usec(1 + c), [&step, c] { step(c); });
-    benchmark::DoNotOptimize(e.run());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(k) *
-                          static_cast<int64_t>(kPerChain) *
-                          static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EngineSerialWide)->Arg(16)->Arg(256);
 
 }  // namespace
 

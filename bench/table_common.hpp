@@ -23,12 +23,6 @@ struct Options {
   // Host threads for the cell sweep: 0 = VODSM_JOBS env or hardware
   // concurrency; 1 = serial.
   int jobs = 0;
-  // Engine worker threads inside each cell (conservative parallel
-  // schedule): 1 = serial reference, N > 1 = N workers with bit-identical
-  // simulated results, 0 = VODSM_SIM_THREADS env (default serial). Cells
-  // run with N > 1 also rerun serially and record the host-time
-  // self-speedup per cell in the JSON.
-  int sim_threads = 0;
   // When nonempty, append this run's machine-readable record there.
   std::string json;
   // Trace every cell and report per-run time breakdowns (stdout tables for
@@ -49,14 +43,13 @@ struct Options {
   // Trace every cell and print its ranked "why is this run slow" diagnosis
   // (obs::Diagnoser over the cell's trace + metrics). Pure post-processing
   // like the other analyses: sim results are unchanged, and the report is
-  // byte-identical across --jobs / --sim-threads.
+  // byte-identical across --jobs.
   bool diagnose = false;
   // Trace + meter every cell and write one persisted run profile
   // (obs::RunProfile JSON) per cell into this directory, named after the
   // cell id ("IS/LRC_d/16p" -> "IS_LRC_d_16p.profile.json"). Accepted as
   // --profile=DIR and --profiles=DIR. Post-processing only: sim results
-  // are unchanged and the profiles are byte-identical across --jobs /
-  // --sim-threads.
+  // are unchanged and the profiles are byte-identical across --jobs.
   std::string profile_dir;
   // Load the per-cell baseline profiles from this directory and print the
   // ranked differential report (baseline = A, this run = B) for every cell
@@ -125,8 +118,6 @@ inline Options parseArgs(int argc, char** argv) {
     else if (a == "--compare-serial") o.compare_serial = true;
     else if (a.rfind("--procs=", 0) == 0) o.procs = parseIntArg(a, 8);
     else if (a.rfind("--jobs=", 0) == 0) o.jobs = parseIntArg(a, 7);
-    else if (a.rfind("--sim-threads=", 0) == 0)
-      o.sim_threads = parseIntArg(a, 14);
     else if (a.rfind("--json=", 0) == 0) o.json = a.substr(7);
     else if (a.rfind("--profile=", 0) == 0) o.profile_dir = a.substr(10);
     else if (a.rfind("--profiles=", 0) == 0) o.profile_dir = a.substr(11);
@@ -140,8 +131,8 @@ inline Options parseArgs(int argc, char** argv) {
     else if (a.rfind("--view-homes=", 0) == 0) o.view_homes = a.substr(13);
     else {
       std::cerr << "usage: " << argv[0]
-                << " [--full] [--procs=N] [--jobs=N] [--sim-threads=N]"
-                   " [--json=PATH] [--breakdown] [--critpath] [--pageheat]"
+                << " [--full] [--procs=N] [--jobs=N] [--json=PATH]"
+                   " [--breakdown] [--critpath] [--pageheat]"
                    " [--metrics] [--diagnose] [--profiles=DIR]"
                    " [--compare=DIR] [--compare-serial] [--faults=SPEC]"
                    " [--screen=MODEL.json] [--screen-tol=X]"

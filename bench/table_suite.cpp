@@ -22,7 +22,6 @@
 
 #include "bench/tables.hpp"
 #include "harness/parallel_runner.hpp"
-#include "sim/engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace vodsm;
@@ -88,9 +87,7 @@ int main(int argc, char** argv) {
   };
 
   std::cerr << "table_suite: " << slots.size() << " cells across "
-            << specs.size() << " tables, jobs=" << jobs
-            << ", sim_threads=" << sim::resolveSimThreads(opts.sim_threads)
-            << "\n";
+            << specs.size() << " tables, jobs=" << jobs << "\n";
   auto [runs, wall] = sweep(jobs);
 
   double serial_wall = 0;

@@ -23,7 +23,6 @@
 #include "obs/profile.hpp"
 #include "obs/profile_diff.hpp"
 #include "obs/trace.hpp"
-#include "sim/engine.hpp"
 #include "sim/time.hpp"
 
 namespace vodsm::bench {
@@ -109,8 +108,6 @@ struct CellFlags {
   // flagsOf) — buildRunProfile is a pure trace/metrics consumer too.
   bool profile = false;
   net::FaultPlan faults;
-  // Engine workers per cell (resolved through VODSM_SIM_THREADS when 0).
-  int sim_threads = 1;
 };
 
 CellFlags flagsOf(const Options& o) {
@@ -122,8 +119,7 @@ CellFlags flagsOf(const Options& o) {
               o.metrics || o.diagnose || profile,
               o.diagnose,
               profile,
-              {},
-              sim::resolveSimThreads(o.sim_threads)};
+              {}};
   if (!o.faults.empty()) {
     try {
       f.faults = net::parseFaultPlan(o.faults);
@@ -141,44 +137,19 @@ CellFlags flagsOf(const Options& o) {
 // keeps the parallel sweep free of shared mutable state. The metrics
 // registry samples at interval 0: the bench only consumes peaks and means,
 // so no time series is recorded.
-//
-// With sim_threads > 1 the cell also reruns on the serial reference
-// schedule, checks the simulated result agrees, and records the host-time
-// self-speedup of the parallel engine for the JSON.
 template <typename RunFn>
-RunResult runCell(const CellFlags& flags, harness::RunConfig base,
+RunResult runCell(const CellFlags& flags, harness::RunConfig cfg,
                   RunFn&& run) {
-  using Clock = std::chrono::steady_clock;
-  auto attempt = [&](int threads, double& host_out) {
-    obs::TraceRecorder rec;
-    obs::MetricsRegistry mets;
-    harness::RunConfig cfg = base;
-    if (flags.traced) cfg.trace = &rec;
-    if (flags.metrics) cfg.metrics = &mets;
-    cfg.critpath = flags.critpath;
-    cfg.pageheat = flags.pageheat;
-    cfg.diagnose = flags.diagnose;
-    cfg.profile = flags.profile;
-    if (!flags.faults.empty()) cfg.faults = &flags.faults;
-    cfg.sim_threads = threads;
-    const auto t0 = Clock::now();
-    RunResult r = run(cfg);
-    host_out = std::chrono::duration<double>(Clock::now() - t0).count();
-    return r;
-  };
-  double par_host = 0;
-  RunResult r = attempt(flags.sim_threads, par_host);
-  r.sim_threads = flags.sim_threads;
-  if (flags.sim_threads > 1) {
-    double ser_host = 0;
-    const RunResult ref = attempt(1, ser_host);
-    VODSM_CHECK_MSG(ref.seconds == r.seconds &&
-                        ref.net.messages == r.net.messages &&
-                        ref.net.payload_bytes == r.net.payload_bytes,
-                    "parallel engine diverged from serial reference");
-    r.self_speedup_vs_serial = par_host > 0 ? ser_host / par_host : 0;
-  }
-  return r;
+  obs::TraceRecorder rec;
+  obs::MetricsRegistry mets;
+  if (flags.traced) cfg.trace = &rec;
+  if (flags.metrics) cfg.metrics = &mets;
+  cfg.critpath = flags.critpath;
+  cfg.pageheat = flags.pageheat;
+  cfg.diagnose = flags.diagnose;
+  cfg.profile = flags.profile;
+  if (!flags.faults.empty()) cfg.faults = &flags.faults;
+  return run(cfg);
 }
 
 Cell isCell(const Options& o, const std::string& impl, Protocol proto,
@@ -768,7 +739,6 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
   // byte-identical regardless of where the suite ran.
   os << "  \"host\": {\"cores\": " << std::thread::hardware_concurrency()
      << ", \"jobs\": " << jobs
-     << ", \"sim_threads\": " << sim::resolveSimThreads(o.sim_threads)
      << ", \"compiler\": \"" << kCompilerId << "\"},\n";
   os << "  \"full\": " << (o.full ? "true" : "false") << ",\n";
   os << "  \"breakdown\": " << (o.breakdown ? "true" : "false") << ",\n";
@@ -824,14 +794,8 @@ void writeTablesJson(std::ostream& os, const std::vector<TableSpec>& specs,
            << ", \"loss_pct\": " << ax.loss_pct << "}";
       }
       os << ", \"host_seconds\": " << runs[s].cell_host_seconds[i]
-         << ", \"sim_threads\": " << r.sim_threads
          << ", \"messages\": " << r.net.messages
          << ", \"payload_bytes\": " << r.net.payload_bytes;
-      if (r.self_speedup_vs_serial > 0) {
-        // Host-time-only: parallel-engine self-speedup of this cell against
-        // its own serial rerun (the gate tolerates these like host_seconds).
-        os << ", \"self_speedup_vs_serial\": " << r.self_speedup_vs_serial;
-      }
       if (!o.faults.empty()) {
         // Per-cell fault columns, present only on faulted sweeps.
         os << ", \"retransmissions\": " << r.net.retransmissions

@@ -10,11 +10,14 @@
 //
 // Every run is checked against the serial reference; the tool exits
 // non-zero on mismatch.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "apps/gauss.hpp"
@@ -50,9 +53,6 @@ namespace {
       "                  (default: id mod p; migrate moves VC view homes to\n"
       "                  their dominant writer)\n"
       "  --seed=N        simulation seed (default 42)\n"
-      "  --sim-threads=N engine worker threads for the conservative\n"
-      "                  parallel schedule; results are bit-identical to\n"
-      "                  N=1 (default: VODSM_SIM_THREADS, else serial)\n"
       "  --trace=FILE    write a Chrome/Perfetto trace of the run\n"
       "  --breakdown     print per-node simulated-time breakdown\n"
       "  --netstats      print per-message-kind traffic breakdown\n"
@@ -86,14 +86,35 @@ namespace {
 }
 
 struct Args {
+  const char* argv0 = "";
   std::map<std::string, std::string> kv;
   std::string get(const std::string& key, const std::string& dflt) const {
     auto it = kv.find(key);
     return it == kv.end() ? dflt : it->second;
   }
-  uint64_t num(const std::string& key, uint64_t dflt) const {
+  // A numeric flag must be a whole unsigned decimal in [lo, hi]; anything
+  // else ("abc", "16x", "-5", or a value its field cannot hold) prints
+  // usage and exits 2.
+  uint64_t num(const std::string& key, uint64_t dflt, uint64_t lo = 0,
+               uint64_t hi = UINT64_MAX) const {
     auto it = kv.find(key);
-    return it == kv.end() ? dflt : std::stoull(it->second);
+    if (it == kv.end()) return dflt;
+    const std::string& v = it->second;
+    const bool digits =
+        !v.empty() && v.find_first_not_of("0123456789") == std::string::npos;
+    try {
+      if (digits) {
+        const uint64_t n = std::stoull(v);
+        if (n >= lo && n <= hi) return n;
+      }
+    } catch (const std::out_of_range&) {
+    }
+    std::fprintf(stderr, "error: bad number --%s=%s\n", key.c_str(), v.c_str());
+    usage(argv0);
+  }
+  // An int-typed flag: a number in [lo, INT_MAX].
+  int count(const std::string& key, int dflt, int lo = 0) const {
+    return static_cast<int>(num(key, dflt, lo, INT_MAX));
   }
 };
 
@@ -154,14 +175,14 @@ int main(int argc, char** argv) {
   static const std::set<std::string> kKnownFlags = {
       "app",          "runtime",   "variant",      "procs",
       "topology",     "barrier",   "view-homes",   "seed",
-      "sim-threads",  "trace",     "breakdown",    "netstats",
+      "hidden",       "trace",     "breakdown",    "netstats",
       "critpath",     "pageheat",  "pageheat-csv", "memstats",
       "metrics-csv",  "metrics-interval",          "faults",
       "diagnose",     "profile",   "compare",      "compare-json",
       "keys",         "buckets",   "iters",        "n",
-      "rows",         "cols",      "samples",      "epochs",
-      "hidden"};
+      "rows",         "cols",      "samples",      "epochs"};
   Args args;
+  args.argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--", 0) != 0) usage(argv[0]);
@@ -182,9 +203,8 @@ int main(int argc, char** argv) {
   const std::string variant = args.get("variant", "vopp");
 
   harness::RunConfig cfg;
-  cfg.nprocs = static_cast<int>(args.num("procs", 16));
+  cfg.nprocs = args.count("procs", 16, 1);
   cfg.seed = args.num("seed", 42);
-  cfg.sim_threads = static_cast<int>(args.num("sim-threads", 0));
   // Topology/barrier/directory specs are validated eagerly: a typo'd spec
   // used to silently fall back to the default and quietly measure the wrong
   // configuration.
@@ -281,8 +301,9 @@ int main(int argc, char** argv) {
     if (app == "is") {
       apps::IsParams p;
       p.n_keys = args.num("keys", 1u << 20);
-      p.max_key = static_cast<uint32_t>(args.num("buckets", 1u << 13) - 1);
-      p.iterations = static_cast<int>(args.num("iters", 10));
+      const uint64_t buckets = args.num("buckets", 1u << 13, 1, 1ull << 32);
+      p.max_key = static_cast<uint32_t>(buckets - 1);
+      p.iterations = args.count("iters", 10);
       auto v = variant == "traditional" ? apps::IsVariant::kTraditional
                : variant == "vopp_lb"   ? apps::IsVariant::kVoppFewerBarriers
                                         : apps::IsVariant::kVopp;
@@ -301,7 +322,7 @@ int main(int argc, char** argv) {
       apps::SorParams p;
       p.rows = args.num("rows", 512);
       p.cols = args.num("cols", 512);
-      p.iterations = static_cast<int>(args.num("iters", 20));
+      p.iterations = args.count("iters", 20);
       auto v = variant == "traditional" ? apps::SorVariant::kTraditional
                                         : apps::SorVariant::kVopp;
       auto run = apps::runSor(cfg, p, v);
@@ -310,8 +331,8 @@ int main(int argc, char** argv) {
     } else if (app == "nn") {
       apps::NnParams p;
       p.samples = args.num("samples", 512);
-      p.epochs = static_cast<int>(args.num("epochs", 30));
-      p.hidden = static_cast<int>(args.num("hidden", 40));
+      p.epochs = args.count("epochs", 30);
+      p.hidden = args.count("hidden", 40);
       auto v = runtime == "mpi"          ? apps::NnVariant::kMpi
                : variant == "traditional" ? apps::NnVariant::kTraditional
                                           : apps::NnVariant::kVopp;

@@ -231,7 +231,6 @@ GaussRun runGauss(const harness::RunConfig& config, const GaussParams& params,
                          .costs = config.costs,
                          .proto = config.proto,
                          .seed = config.seed,
-                         .sim_threads = config.sim_threads,
                          .trace = config.trace,
                          .metrics = config.metrics,
                          .faults = config.faults});

@@ -299,7 +299,6 @@ IsRun runIs(const harness::RunConfig& config, const IsParams& params,
                          .costs = config.costs,
                          .proto = config.proto,
                          .seed = config.seed,
-                         .sim_threads = config.sim_threads,
                          .trace = config.trace,
                          .metrics = config.metrics,
                          .faults = config.faults});

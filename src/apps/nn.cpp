@@ -342,7 +342,6 @@ double runNnMpi(const harness::RunConfig& config, const NnParams& p,
   msg::World world({.nprocs = config.nprocs,
                     .net = config.net,
                     .seed = config.seed,
-                    .sim_threads = config.sim_threads,
                     .faults = config.faults});
   double checksum = 0;
   world.run([&](msg::Rank& rank) -> sim::Task<void> {
@@ -387,7 +386,6 @@ NnRun runNn(const harness::RunConfig& config, const NnParams& params,
                          .costs = config.costs,
                          .proto = config.proto,
                          .seed = config.seed,
-                         .sim_threads = config.sim_threads,
                          .trace = config.trace,
                          .metrics = config.metrics,
                          .faults = config.faults});

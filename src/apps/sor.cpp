@@ -276,7 +276,6 @@ SorRun runSor(const harness::RunConfig& config, const SorParams& params,
                          .costs = config.costs,
                          .proto = config.proto,
                          .seed = config.seed,
-                         .sim_threads = config.sim_threads,
                          .trace = config.trace,
                          .metrics = config.metrics,
                          .faults = config.faults});

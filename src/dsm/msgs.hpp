@@ -420,7 +420,7 @@ struct ViewReleaseMsg {
 // ViewHomes::kMigrate handoff (only ever sent while the view is idle: no
 // writer, no readers, empty queue). Maps are flattened in ascending key
 // order so the encoded bytes — and hence the simulated wire cost — are
-// deterministic at every thread count.
+// deterministic.
 struct ViewMigrateMsg {
   ViewId view = 0;
   uint32_t cur_version = 0;

@@ -27,11 +27,6 @@ struct RunConfig {
   // centralized protocol byte-for-byte); the topology rides in `net`.
   dsm::ProtoOptions proto;
   uint64_t seed = 42;
-  // Engine worker threads for the conservative parallel schedule: 1 runs
-  // the serial reference, N > 1 runs N workers with bit-identical results,
-  // 0 defers to VODSM_SIM_THREADS (default serial). Host-side only — never
-  // changes what the run computes.
-  int sim_threads = 0;
   // Caller-owned recorder; null disables tracing (see vopp::ClusterOptions).
   obs::TraceRecorder* trace = nullptr;
   // Caller-owned counter/gauge registry; null disables metrics. Like the
@@ -44,7 +39,7 @@ struct RunConfig {
   // Runs the diagnosis pass catalog over the trace (requires `trace`;
   // consumes the metrics summary too when metered). Post-processing like
   // the other analyses: a diagnosed run is bit-identical to an undiagnosed
-  // one, and the report itself is deterministic across --jobs/--sim-threads.
+  // one, and the report itself is deterministic across --jobs.
   bool diagnose = false;
   // Builds a persisted run profile (obs::RunProfile) from the trace and
   // metrics (requires `trace`). Pure post-processing like the analyses
@@ -77,12 +72,6 @@ struct RunResult {
   // was metered via RunConfig::metrics. The MPI reference runner does not
   // meter, so its results leave this empty.
   obs::MetricsSummary metrics;
-  // Host-side observability of the engine's parallel schedule: the worker
-  // count the run used, and — when a serial reference rerun was timed —
-  // host-time serial/parallel ratio (0 = not measured). Never simulated
-  // output; the bench gate treats these as host-timing/ignored keys.
-  int sim_threads = 1;
-  double self_speedup_vs_serial = 0;
   // Analytic screen (bench --screen=model.json): this result was NOT
   // simulated — `seconds` is the fitted model's prediction and every other
   // field is empty. The bench JSON marks such cells "screened" and omits

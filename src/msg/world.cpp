@@ -119,9 +119,8 @@ sim::Task<void> Rank::allreduce(std::vector<int64_t>& inout) {
 
 void World::run(const Program& program) {
   VODSM_CHECK_MSG(network_ == nullptr, "World::run called twice");
-  // One engine lane per rank; the schedule is identical for any thread
-  // count (see sim::Engine).
-  engine_.configureLanes(opts_.nprocs, opts_.sim_threads);
+  // One engine lane (stamp counter) per rank, as in vopp::Cluster.
+  engine_.configureLanes(opts_.nprocs);
   network_ =
       std::make_unique<net::Network>(engine_, opts_.nprocs, opts_.net,
                                      opts_.seed);
@@ -138,8 +137,7 @@ void World::run(const Program& program) {
           faults_->chargeScalerFor(static_cast<net::NodeId>(i)));
   }
 
-  // Per-rank completion slots: finish callbacks run inside each rank's lane
-  // (possibly on worker threads); folds happen after the engine drains.
+  // Per-rank completion slots; folds happen after the engine drains.
   std::vector<unsigned char> finished(static_cast<size_t>(opts_.nprocs), 0);
   std::vector<std::exception_ptr> errors(static_cast<size_t>(opts_.nprocs));
   std::vector<sim::Time> done_times(static_cast<size_t>(opts_.nprocs), 0);

@@ -26,8 +26,6 @@ struct WorldOptions {
   int nprocs = 4;
   net::NetConfig net;
   uint64_t seed = 42;
-  // Engine worker threads (same semantics as vopp::ClusterOptions).
-  int sim_threads = 0;
   // Software cost to pack/unpack one KB of message payload.
   sim::Time pack_per_kb = sim::usec(8);
   // Caller-owned fault plan; null or empty means no injection (same

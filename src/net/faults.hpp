@@ -126,10 +126,9 @@ class FaultInjector {
   // the destination's private Rng only for probabilistic rules that are
   // in-window and match the link, so out-of-window plans consume no
   // randomness. A drop short-circuits the remaining rules. Randomness and
-  // rule budgets are sharded per destination node — the switch decision for
-  // a frame runs in the receiver's engine lane, so shards are never touched
-  // concurrently and the fault stream is independent of lane interleaving.
-  // (Budgets therefore cap drops per receiving node, not globally.)
+  // rule budgets are sharded per destination node, so one receiver's fault
+  // stream does not depend on other receivers' traffic. (Budgets therefore
+  // cap drops per receiving node, not globally.)
   FaultAction onFrame(NodeId src, NodeId dst, sim::Time now);
 
   // Charge scaler for `node`, or null when no slow rule can ever match it

@@ -66,8 +66,7 @@ struct FrameData {
   // Host-only slot, never on the wire and never counted in size(): a
   // responder parks its answer to a request frame here, so every later copy
   // of that request (a retransmission or a switch duplicate) finds the
-  // reply and resends it without re-running the handler. Written and read
-  // only in the responder's lane.
+  // reply and resends it without re-running the handler.
   mutable Frame reply;
 
   // Encoded size on the wire (the model's "frame bytes").

@@ -13,11 +13,11 @@
 // traverse two trunk hops — leaf(src) -> spine -> leaf(dst), the spine
 // picked by a deterministic hash of (src, dst) — each with its own FIFO
 // serialization at trunk bandwidth plus the trunk latency, before rejoining
-// the star path at the destination leaf's downlink. Trunk FIFO state is
-// owned by the leaf's representative lane (its first node): up-trunks by
-// the source leaf's rep, down-trunks by the destination leaf's rep, so the
-// conservative-parallel engine never races on trunk bookkeeping and every
-// cross-lane hop lands at least NetConfig::minLatency() in the future.
+// the star path at the destination leaf's downlink. Trunk hops run in the
+// leaf's representative lane (its first node): up-trunks in the source
+// leaf's rep, down-trunks in the destination leaf's rep. The lane a hop
+// runs in decides the stamps of the events it posts, and so the canonical
+// order of equal-time events (see sim::Engine).
 //
 // All bookkeeping happens inside engine events so concurrent senders are
 // ordered by global simulated time.
@@ -55,9 +55,8 @@ class Network {
         ports_(static_cast<size_t>(n_nodes)),
         shards_(static_cast<size_t>(n_nodes)) {
     VODSM_CHECK(n_nodes > 0);
-    // Per-receiver loss streams: the switch's random-loss draw for a frame
-    // happens in the receiver's lane, so each destination forks its own
-    // stream off the run seed and lanes never share an Rng.
+    // Per-receiver loss streams: each destination forks its own stream off
+    // the run seed, so a receiver's draws do not depend on other traffic.
     sim::Rng root(seed);
     rngs_.reserve(static_cast<size_t>(n_nodes));
     for (int i = 0; i < n_nodes; ++i) rngs_.push_back(root.fork());
@@ -75,20 +74,15 @@ class Network {
                                 std::vector<Trunk>(
                                     static_cast<size_t>(nspines_))});
     }
-    // The topology's minimum frame latency is the engine's conservative
-    // lookahead: cross-lane posts (startUplink -> arriveSwitch, and the
-    // trunk hops on multi-switch fabrics) always land at least this far in
-    // the destination's future.
-    engine_.setLookahead(config_.minLatency());
   }
 
   int nodeCount() const { return static_cast<int>(ports_.size()); }
   const NetConfig& config() const { return config_; }
 
-  // Counters are sharded per node so lanes never write the same cache
-  // lines: sender-side counters (frames_sent, wire_bytes, transport sends)
-  // live in the sender's shard, everything decided at the switch or NIC in
-  // the receiver's. stats() folds the shards into one total on demand.
+  // Counters are sharded per node: sender-side counters (frames_sent,
+  // wire_bytes, transport sends) live in the sender's shard, everything
+  // decided at the switch or NIC in the receiver's. stats() folds the
+  // shards into one total on demand.
   NetStats& statsFor(NodeId node) { return shards_[node]; }
   const NetStats& statsFor(NodeId node) const { return shards_[node]; }
   const NetStats& stats() const {
@@ -174,7 +168,7 @@ class Network {
 
   // One trunk link direction's FIFO state and counters. Up-trunks of leaf L
   // are written only from lane rep(L) (the leaf's first node), down-trunks
-  // of leaf L likewise — single-writer by construction.
+  // of leaf L likewise.
   struct Trunk {
     sim::Time busy_until = 0;
     uint64_t frames = 0;
@@ -195,8 +189,7 @@ class Network {
     return static_cast<NodeId>(leaf * config_.topology.leaf_size);
   }
   // Deterministic spine pick: a fixed multiplicative hash of the (src, dst)
-  // pair, so a flow always takes the same path (no adaptive routing) and
-  // runs are identical at every thread count.
+  // pair, so a flow always takes the same path (no adaptive routing).
   int spineFor(NodeId src, NodeId dst) const {
     const uint32_t h = src * 2654435761u ^ dst * 40503u;
     return static_cast<int>(h % static_cast<uint32_t>(nspines_));
@@ -221,9 +214,7 @@ class Network {
     }
     // Cross-lane hop: everything from the switch on happens in the
     // receiver's lane (or, for cross-leaf frames, in the trunk-owning rep
-    // lanes first). The arrival time is at least now + minLatency() (send
-    // overhead + serialization + wire latency all bound their empty-frame
-    // minima), which is the lookahead contract.
+    // lanes first).
     const sim::Time at_switch = depart + tx + config_.wire_latency;
     if (crossLeaf(src, dst)) {
       engine_.atLane(repOf(leafOf(src)), at_switch,
@@ -251,8 +242,7 @@ class Network {
   }
 
   // Runs in rep(leaf(src))'s lane: serialize onto the chosen up-trunk, then
-  // hop to the destination leaf's rep lane. The post lands at least
-  // trunkTxTime(0) + trunk_latency ahead, within the lookahead contract.
+  // hop to the destination leaf's rep lane.
   void trunkUp(NodeId src, NodeId dst, Frame frame) {
     Trunk& t = trunks_[static_cast<size_t>(leafOf(src))]
                    .up[static_cast<size_t>(spineFor(src, dst))];

@@ -206,8 +206,7 @@ class Endpoint {
     network_.send(self_, token.requester, std::move(frame), earliest);
   }
 
-  // Transport counters land in this node's shard: every mutation here runs
-  // in this node's lane, so shards are never written concurrently.
+  // Transport counters land in this node's shard (see Network::statsFor).
   NetStats& stats() { return network_.statsFor(self_); }
 
   // Sequence numbers this node received out of order and still tracks

@@ -124,20 +124,6 @@ struct NetConfig {
                                   sim::kSecond);
   }
 
-  // Lower bound on every cross-lane hop in the topology, published to the
-  // engine as the conservative-parallel lookahead; a zero value (degenerate
-  // configs) disables lane parallelism. The star has a single hop class
-  // (sender stack -> receiver switch): at least the empty-payload send
-  // overhead, the empty-frame serialization, and the wire latency, both
-  // overheads growing monotonically with payload size. Multi-switch fabrics
-  // add trunk hops (leaf -> spine, spine -> leaf), each at least the
-  // empty-frame trunk serialization plus the trunk latency, so the bound is
-  // the min over the two hop classes.
-  sim::Time minLatency() const {
-    const sim::Time edge = sendOverhead(0) + txTime(0) + wire_latency;
-    if (!multiSwitch()) return edge;
-    return std::min(edge, trunkTxTime(0) + topology.trunk_latency);
-  }
 };
 
 // Parses a CLI topology spec: `star`, `fattree` or `leafspine`, optionally

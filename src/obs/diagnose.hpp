@@ -13,8 +13,7 @@
 //    so a diagnosed run is bit-identical to an undiagnosed one.
 //  * Deterministic output: every pass iterates ordered containers and the
 //    final ranking breaks severity ties by category then location, so the
-//    text and JSON reports are byte-identical across --jobs and
-//    --sim-threads values.
+//    text and JSON reports are byte-identical across --jobs values.
 //  * Root causes outrank symptoms: on an injected-fault run the top-ranked
 //    finding names the injected fault class and its location. Detector
 //    severities are calibrated for this — e.g. the hotspot summarizer

@@ -37,48 +37,12 @@ void MetricsRegistry::startSampling(sim::Engine& engine) {
 }
 
 void MetricsRegistry::sampleTick(sim::Engine& engine) {
-  // On a parallel worker the snapshot is deferred: a marker entry replays
-  // it at the window barrier, after every add() with an earlier key.
-  if (sim::Engine::ExecContext* x = sim::Engine::execContext()) {
-    journals_[x->lane].push_back(Journal{x->key, x->nextOrdinal(),
-                                         engine.now(), 0, 0,
-                                         Metric::kTwinBytes, true});
-  } else {
-    snapshot(engine.now(), /*force=*/false);
-  }
+  snapshot(engine.now(), /*force=*/false);
   // Reschedule unconditionally: ticks are aux events, so they never keep
   // the run alive — the engine drains at exactly the event it would have
   // drained at unmetered and discards the one trailing tick left enqueued.
   engine.auxAfter(interval_, [this, &engine] { sampleTick(engine); });
 }
-
-void MetricsRegistry::onParallelStart(uint32_t nlanes) {
-  journals_.assign(nlanes, {});
-}
-
-void MetricsRegistry::onWindow(const sim::EventKey* limit) {
-  merge_.clear();
-  for (std::vector<Journal>& lane : journals_) {
-    merge_.insert(merge_.end(), lane.begin(), lane.end());
-    lane.clear();
-  }
-  std::sort(merge_.begin(), merge_.end(),
-            [](const Journal& a, const Journal& b) {
-              if (a.key < b.key) return true;
-              if (b.key < a.key) return false;
-              return a.ord < b.ord;
-            });
-  for (const Journal& j : merge_) {
-    if (limit && *limit < j.key) continue;  // trailing aux past the last
-                                            // real event; serial never ran it
-    if (j.marker)
-      snapshot(j.ts, /*force=*/false);
-    else
-      applyAdd(j.node, j.metric, j.delta, j.ts);
-  }
-}
-
-void MetricsRegistry::onParallelEnd() { journals_.clear(); }
 
 void MetricsRegistry::snapshot(sim::Time ts, bool force) {
   for (uint32_t node = 0; node < nodes_.size(); ++node) {

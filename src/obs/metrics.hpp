@@ -143,13 +143,7 @@ struct MetricsSummary {
   double meanLinkUtilization() const;
 };
 
-// During a parallel engine run, add() calls from worker threads are
-// journaled per lane, tagged with the executing event's key, and replayed
-// into the series state at each window barrier in merged (key, ordinal)
-// order — the exact order a serial run applies them in, so peaks, areas,
-// and sampled rows come out bit-identical. Sampler ticks journal a marker
-// entry and snapshot at replay time for the same reason.
-class MetricsRegistry : public sim::ParallelObserver {
+class MetricsRegistry {
  public:
   // interval == 0 keeps on-change accounting (peaks, finals, means) but
   // schedules no sampler events and records no time series.
@@ -161,12 +155,19 @@ class MetricsRegistry : public sim::ParallelObserver {
   // Apply a delta to one series. `ts` is the simulated time the change
   // happened at, in whatever clock domain the caller's layer runs on.
   void add(uint32_t node, Metric m, int64_t delta, sim::Time ts) {
-    if (sim::Engine::ExecContext* x = sim::Engine::execContext()) {
-      journals_[x->lane].push_back(Journal{x->key, x->nextOrdinal(), ts,
-                                           delta, node, m, false});
-      return;
+    if (node >= nodes_.size()) nodes_.resize(static_cast<size_t>(node) + 1);
+    Series& s = nodes_[node][static_cast<size_t>(m)];
+    if (ts > s.last_ts) {
+      s.area += static_cast<__int128>(s.value) *
+                static_cast<__int128>(ts - s.last_ts);
+      s.last_ts = ts;
     }
-    applyAdd(node, m, delta, ts);
+    s.value += delta;
+    s.touched = true;
+    if (s.value > s.peak) {
+      s.peak = s.value;
+      s.peak_ts = s.last_ts;
+    }
   }
 
   int64_t value(uint32_t node, Metric m) const {
@@ -189,10 +190,6 @@ class MetricsRegistry : public sim::ParallelObserver {
   // Aggregate view; valid after closeRun().
   MetricsSummary summary() const;
 
-  void onParallelStart(uint32_t nlanes) override;
-  void onWindow(const sim::EventKey* limit) override;
-  void onParallelEnd() override;
-
  private:
   struct Series {
     int64_t value = 0;
@@ -204,40 +201,11 @@ class MetricsRegistry : public sim::ParallelObserver {
     bool sampled_once = false;
     bool touched = false;
   };
-  // One deferred add() (or, with marker set, one deferred sampler snapshot)
-  // recorded from a worker thread during a parallel window.
-  struct Journal {
-    sim::EventKey key;
-    uint64_t ord = 0;
-    sim::Time ts = 0;
-    int64_t delta = 0;
-    uint32_t node = 0;
-    Metric metric = Metric::kTwinBytes;
-    bool marker = false;
-  };
-
-  void applyAdd(uint32_t node, Metric m, int64_t delta, sim::Time ts) {
-    if (node >= nodes_.size()) nodes_.resize(static_cast<size_t>(node) + 1);
-    Series& s = nodes_[node][static_cast<size_t>(m)];
-    if (ts > s.last_ts) {
-      s.area += static_cast<__int128>(s.value) *
-                static_cast<__int128>(ts - s.last_ts);
-      s.last_ts = ts;
-    }
-    s.value += delta;
-    s.touched = true;
-    if (s.value > s.peak) {
-      s.peak = s.value;
-      s.peak_ts = s.last_ts;
-    }
-  }
 
   void sampleTick(sim::Engine& engine);
   void snapshot(sim::Time ts, bool force);
 
   sim::Time interval_;
-  std::vector<std::vector<Journal>> journals_;  // per lane, mid-parallel-run
-  std::vector<Journal> merge_;
   std::vector<std::array<Series, kMetricCount>> nodes_;
   std::vector<MetricSample> samples_;
   int nprocs_ = 0;

@@ -25,12 +25,10 @@
 // into a contention table.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/time.hpp"
 
 namespace vodsm::obs {
@@ -155,12 +153,7 @@ inline const CatInfo& catInfo(Cat c) {
   return kCatInfo[static_cast<size_t>(c)];
 }
 
-// During a parallel engine run, events recorded from worker threads land in
-// per-lane buffers tagged with the executing event's key; at each window
-// barrier the buffers are merged in (key, ordinal) order and appended to the
-// main list. Windows replay in global key order, so the merged stream is
-// byte-identical to the insertion order a serial run would have produced.
-class TraceRecorder : public sim::ParallelObserver {
+class TraceRecorder {
  public:
   void begin(uint32_t node, Cat c, sim::Time ts, uint64_t a0 = 0,
              uint64_t a1 = 0) {
@@ -179,44 +172,10 @@ class TraceRecorder : public sim::ParallelObserver {
   size_t size() const { return events_.size(); }
   void clear() { events_.clear(); }
 
-  void onParallelStart(uint32_t nlanes) override {
-    lanes_.assign(nlanes, {});
-  }
-  void onWindow(const sim::EventKey* limit) override {
-    merge_.clear();
-    for (std::vector<Tagged>& lane : lanes_) {
-      merge_.insert(merge_.end(), lane.begin(), lane.end());
-      lane.clear();
-    }
-    std::sort(merge_.begin(), merge_.end(), [](const Tagged& a,
-                                               const Tagged& b) {
-      if (a.key < b.key) return true;
-      if (b.key < a.key) return false;
-      return a.ord < b.ord;
-    });
-    for (const Tagged& t : merge_)
-      if (!limit || !(*limit < t.key)) events_.push_back(t.ev);
-  }
-  void onParallelEnd() override { lanes_.clear(); }
-
  private:
-  struct Tagged {
-    sim::EventKey key;
-    uint64_t ord;
-    Event ev;
-  };
-
-  void push(const Event& ev) {
-    if (sim::Engine::ExecContext* x = sim::Engine::execContext()) {
-      lanes_[x->lane].push_back(Tagged{x->key, x->nextOrdinal(), ev});
-      return;
-    }
-    events_.push_back(ev);
-  }
+  void push(const Event& ev) { events_.push_back(ev); }
 
   std::vector<Event> events_;
-  std::vector<std::vector<Tagged>> lanes_;  // non-empty only mid-parallel-run
-  std::vector<Tagged> merge_;
 };
 
 }  // namespace vodsm::obs

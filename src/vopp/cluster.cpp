@@ -23,12 +23,8 @@ void Cluster::run(const Program& program) {
   VODSM_CHECK_MSG(views_.heapBytes() > 0,
                   "no shared memory defined before run");
 
-  // One engine lane per node; the schedule (and every result) is identical
-  // for any thread count. Observers that buffer per lane register before
-  // any event is recorded from a worker.
-  engine_.configureLanes(opts_.nprocs, opts_.sim_threads);
-  if (auto* t = opts_.trace) engine_.addParallelObserver(t);
-  if (auto* m = opts_.metrics) engine_.addParallelObserver(m);
+  // One engine lane (stamp counter) per node: the canonical event order.
+  engine_.configureLanes(opts_.nprocs);
   network_ = std::make_unique<net::Network>(engine_, opts_.nprocs, opts_.net,
                                             opts_.seed);
   network_->setTrace(opts_.trace);
@@ -54,9 +50,8 @@ void Cluster::run(const Program& program) {
         std::make_unique<Node>(*this, *ctxs_.back(), *runtimes_.back()));
   }
 
-  // Per-node completion slots: the finish callbacks run inside each node's
-  // lane (possibly on worker threads), so each writes only its own slot and
-  // the folds below happen single-threaded after the engine drains.
+  // Per-node completion slots: each finish callback writes only its own
+  // slot, and the folds below happen after the engine drains.
   std::vector<unsigned char> finished(static_cast<size_t>(opts_.nprocs), 0);
   std::vector<std::exception_ptr> errors(static_cast<size_t>(opts_.nprocs));
   std::vector<sim::Time> done_times(static_cast<size_t>(opts_.nprocs), 0);

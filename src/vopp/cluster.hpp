@@ -46,10 +46,6 @@ struct ClusterOptions {
   // every run byte-identical to the pre-scaling (centralized) protocol.
   dsm::ProtoOptions proto;
   uint64_t seed = 42;
-  // Engine worker threads (sim::resolveSimThreads semantics: 1 = serial
-  // reference, N > 1 = conservative parallel schedule with bit-identical
-  // results, 0 = VODSM_SIM_THREADS or serial).
-  int sim_threads = 0;
   // Caller-owned event recorder, threaded through every layer of the run
   // (programs, protocol engines, transport, network). Null disables tracing;
   // recording never charges simulated time, so traced and untraced runs

@@ -54,10 +54,8 @@ void expectResultEq(const RunResult& a, const RunResult& b,
 
 // A small but protocol-diverse cell sweep: all four apps, all three
 // protocols represented, sizes chosen so the whole suite stays in test
-// time. `sim_threads` selects the engine schedule inside every cell
-// (1 = serial reference); results must not depend on it.
-std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
-    int sim_threads = 1) {
+// time.
+std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells() {
   std::vector<std::pair<std::string, std::function<RunResult()>>> cells;
 
   apps::IsParams is;
@@ -73,7 +71,6 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
     RunConfig c;
     c.protocol = proto;
     c.nprocs = 4;
-    c.sim_threads = sim_threads;
     cells.emplace_back(name,
                        [=] { return apps::runIs(c, is, variant).result; });
   }
@@ -84,7 +81,6 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
     RunConfig c;
     c.protocol = dsm::Protocol::kVcSd;
     c.nprocs = 4;
-    c.sim_threads = sim_threads;
     cells.emplace_back("Gauss/VC_sd", [=] {
       return apps::runGauss(c, gauss, apps::GaussVariant::kVopp).result;
     });
@@ -98,7 +94,6 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
     RunConfig c;
     c.protocol = dsm::Protocol::kLrcDiff;
     c.nprocs = 4;
-    c.sim_threads = sim_threads;
     cells.emplace_back("SOR/LRC_d", [=] {
       return apps::runSor(c, sor, apps::SorVariant::kTraditional).result;
     });
@@ -111,7 +106,6 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
     RunConfig c;
     c.protocol = dsm::Protocol::kVcSd;
     c.nprocs = 4;
-    c.sim_threads = sim_threads;
     cells.emplace_back("NN/MPI", [=] {
       return apps::runNn(c, nn, apps::NnVariant::kMpi).result;
     });
@@ -123,7 +117,6 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
     RunConfig c;
     c.protocol = dsm::Protocol::kVcSd;
     c.nprocs = 4;
-    c.sim_threads = sim_threads;
     c.net.random_loss = 0.02;
     c.net.rto = sim::msec(20);
     cells.emplace_back("IS/VC_sd/lossy", [=] {
@@ -133,12 +126,11 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
 
   // Multi-switch fabrics with the scalable protocol stack: trunk FIFOs,
   // tree/butterfly barrier traffic, and hashed/migrating view homes all
-  // add event paths that must stay schedule-independent too.
+  // add event paths that must stay deterministic too.
   {
     RunConfig c;
     c.protocol = dsm::Protocol::kVcSd;
     c.nprocs = 8;
-    c.sim_threads = sim_threads;
     VODSM_CHECK(net::parseTopologySpec("fattree:leaf=4", &c.net.topology));
     c.proto.barrier = dsm::BarrierAlg::kTree;
     c.proto.view_homes = dsm::ViewHomes::kHashed;
@@ -150,7 +142,6 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
     RunConfig c;
     c.protocol = dsm::Protocol::kVcSd;
     c.nprocs = 8;
-    c.sim_threads = sim_threads;
     VODSM_CHECK(net::parseTopologySpec("leafspine:leaf=4,spines=2",
                                        &c.net.topology));
     c.proto.barrier = dsm::BarrierAlg::kButterfly;
@@ -161,7 +152,7 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
   }
 
   // Fault-injected cells: the injector's per-destination RNG shards and
-  // budgets must behave identically under every engine schedule.
+  // budgets must behave identically on every run.
   for (const char* profile : {"profile:mixed", "profile:partition"}) {
     static std::map<std::string, net::FaultPlan> plans;
     auto [it, inserted] = plans.try_emplace(profile);
@@ -169,7 +160,6 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
     RunConfig c;
     c.protocol = dsm::Protocol::kVcSd;
     c.nprocs = 4;
-    c.sim_threads = sim_threads;
     c.faults = &it->second;
     cells.emplace_back(std::string("IS/VC_sd/") + profile, [=] {
       return apps::runIs(c, is, apps::IsVariant::kVopp).result;
@@ -177,24 +167,6 @@ std::vector<std::pair<std::string, std::function<RunResult()>>> makeCells(
   }
 
   return cells;
-}
-
-// The tentpole guarantee of the conservative parallel engine: the same
-// cell produces a bit-identical RunResult for every --sim-threads value,
-// across all apps, protocols, and fault profiles in the sweep.
-TEST(Determinism, SimThreadSweepIsBitIdentical) {
-  auto base = makeCells(/*sim_threads=*/1);
-  std::vector<RunResult> ref;
-  ref.reserve(base.size());
-  for (auto& [name, run] : base) ref.push_back(run());
-  for (int threads : {2, 4, 8}) {
-    auto cells = makeCells(threads);
-    ASSERT_EQ(cells.size(), ref.size());
-    for (size_t i = 0; i < cells.size(); ++i)
-      expectResultEq(ref[i], cells[i].second(),
-                     cells[i].first + " (sim_threads=" +
-                         std::to_string(threads) + ")");
-  }
 }
 
 TEST(Determinism, RepeatedRunsAreBitIdentical) {

@@ -13,9 +13,8 @@
 //    the cut node and a window inside the injected interval, loss -> a
 //    retransmission storm, single-link degrade -> that link).
 //  * Determinism: the rendered report (text + JSON) is byte-identical
-//    across engine schedules (--sim-threads) and host-thread interleavings
-//    (--jobs), and a diagnosed run's simulated results are bit-identical to
-//    an undiagnosed run's.
+//    across host-thread interleavings (--jobs), and a diagnosed run's
+//    simulated results are bit-identical to an undiagnosed run's.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -279,7 +278,7 @@ struct DiagRun {
   std::string rendered;  // text report + JSON, for byte comparison
 };
 
-DiagRun runDiagnosedIs(const std::string& spec, int sim_threads = 1) {
+DiagRun runDiagnosedIs(const std::string& spec) {
   net::FaultPlan plan;
   if (!spec.empty()) plan = net::parseFaultPlan(spec);
   obs::TraceRecorder rec;
@@ -287,7 +286,6 @@ DiagRun runDiagnosedIs(const std::string& spec, int sim_threads = 1) {
   RunConfig c;
   c.protocol = dsm::Protocol::kVcSd;
   c.nprocs = kDiagProcs;
-  c.sim_threads = sim_threads;
   if (!spec.empty()) c.faults = &plan;
   c.trace = &rec;
   c.metrics = &mets;
@@ -356,14 +354,6 @@ TEST(DiagnoseProfiles, FaultFreeRunHasNoFaultFindings) {
 }
 
 // --- determinism --------------------------------------------------------
-
-TEST(DiagnoseDeterminism, ReportIsByteIdenticalAcrossEngineSchedules) {
-  const std::string spec = "loss:p=0.01";
-  DiagRun serial = runDiagnosedIs(spec, /*sim_threads=*/1);
-  DiagRun parallel = runDiagnosedIs(spec, /*sim_threads=*/4);
-  EXPECT_EQ(serial.result.seconds, parallel.result.seconds);
-  EXPECT_EQ(serial.rendered, parallel.rendered);
-}
 
 TEST(DiagnoseDeterminism, ReportIsByteIdenticalAcrossHostThreads) {
   // The same diagnosed cell swept under a multi-threaded host runner (the

@@ -6,8 +6,7 @@
 //  * Purity: a profiled run's simulated results are bit-identical to an
 //    unprofiled run's, for every protocol.
 //  * Determinism: the profile JSON and the differential report are
-//    byte-identical across engine schedules (--sim-threads) and host-thread
-//    interleavings (--jobs).
+//    byte-identical across host-thread interleavings (--jobs).
 //  * Exactness: on hand-crafted profiles the per-category deltas partition
 //    the makespan difference to the nanosecond, and severities are the
 //    calibrated fractions of that delta.
@@ -45,14 +44,12 @@ apps::IsParams testIs() {
 }
 
 RunResult runProfiledIs(dsm::Protocol proto, apps::IsVariant variant,
-                        int nprocs, int sim_threads = 1,
-                        apps::IsParams params = testIs()) {
+                        int nprocs, apps::IsParams params = testIs()) {
   obs::TraceRecorder rec;
   obs::MetricsRegistry mets;
   RunConfig c;
   c.protocol = proto;
   c.nprocs = nprocs;
-  c.sim_threads = sim_threads;
   c.trace = &rec;
   c.metrics = &mets;
   c.profile = true;
@@ -117,17 +114,6 @@ TEST(RunProfile, ProfiledRunMatchesUnprofiledRun) {
 }
 
 // --- determinism --------------------------------------------------------
-
-TEST(RunProfile, ProfileIsByteIdenticalAcrossEngineSchedules) {
-  RunResult serial = runProfiledIs(dsm::Protocol::kVcSd,
-                                   apps::IsVariant::kVopp, /*nprocs=*/4,
-                                   /*sim_threads=*/1);
-  RunResult parallel = runProfiledIs(dsm::Protocol::kVcSd,
-                                     apps::IsVariant::kVopp, /*nprocs=*/4,
-                                     /*sim_threads=*/4);
-  EXPECT_EQ(serial.seconds, parallel.seconds);
-  EXPECT_EQ(renderProfile(serial.profile), renderProfile(parallel.profile));
-}
 
 TEST(RunProfile, ProfileAndReportAreByteIdenticalAcrossHostThreads) {
   const RunResult base = runProfiledIs(dsm::Protocol::kLrcDiff,
@@ -264,9 +250,9 @@ TEST(DiffReport, LrcVsVcSdTopFindingIsTheTransferShift) {
   params.iterations = 10;
   RunResult lrc = runProfiledIs(dsm::Protocol::kLrcDiff,
                                 apps::IsVariant::kTraditional,
-                                /*nprocs=*/16, /*sim_threads=*/1, params);
+                                /*nprocs=*/16, params);
   RunResult vcsd = runProfiledIs(dsm::Protocol::kVcSd, apps::IsVariant::kVopp,
-                                 /*nprocs=*/16, /*sim_threads=*/1, params);
+                                 /*nprocs=*/16, params);
   const obs::DiffReport r = obs::diffProfiles(lrc.profile, vcsd.profile);
   ASSERT_FALSE(r.findings.empty());
   std::ostringstream os;

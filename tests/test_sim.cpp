@@ -2,8 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <cstdlib>
 #include <functional>
 #include <set>
 #include <string>
@@ -199,116 +197,56 @@ TEST(Engine, PurgeKeepsPopOrder) {
   EXPECT_EQ(order, want);
 }
 
-// Timers armed during setup (before the lane migration) and during the run
-// are cancelled identically by the serial and the parallel schedule.
-TEST(Engine, CancellationIsThreadCountInvariant) {
-  constexpr uint32_t kLanes = 4;
-  constexpr int kHops = 20;
-  constexpr int kSetupTimers = 8;
-  struct Out {
-    uint64_t events = 0;
-    std::array<int, kLanes> fired{};
+// The canonical serial order, pinned event by event. Keys are (time,
+// stamp, origin lane) with per-lane Lamport stamps; every committed
+// baseline was recorded under this order, so a change here moves simulated
+// results.
+TEST(Engine, LaneScheduleRunsInCanonicalKeyOrder) {
+  Engine e;
+  e.configureLanes(3);
+  std::string order;
+  auto log = [&order](std::string name) {
+    return [&order, name] { order += name + " "; };
   };
-  auto runIt = [](int threads) {
-    Out out;
-    Engine e;
-    e.configureLanes(kLanes, threads);
-    e.setLookahead(10);
-    std::array<std::vector<Engine::TimerId>, kLanes> timers;
-    std::function<void(uint32_t, int)> hop = [&](uint32_t lane, int k) {
-      // Cancel one setup timer: early hops before it fires, late hops
-      // after (a no-op).
-      e.cancel(timers[lane][static_cast<size_t>(k % kSetupTimers)]);
-      // Arm a run-time timer; cancel every other one.
-      const Engine::TimerId id =
-          e.afterCancellable(50, [&out, lane] { ++out.fired[lane]; });
-      if (k % 2 == 0) e.cancel(id);
-      if (k < kHops) {
-        const uint32_t nxt = (lane + 1) % kLanes;
-        e.atLane(nxt, e.now() + 10, [&hop, nxt, k] { hop(nxt, k + 1); });
-      }
-    };
-    for (uint32_t l = 0; l < kLanes; ++l) {
-      Engine::LaneGuard g(e, l);
-      for (int k = 0; k < kSetupTimers; ++k)
-        timers[l].push_back(
-            e.afterCancellable(100 + k, [&out, l] { ++out.fired[l]; }));
-      e.at(l + 1, [&hop, l] { hop(l, 0); });
-      // Cancelled before the run starts: never migrated into a lane.
-      timers[l].push_back(e.afterCancellable(5, [&out, l] { ++out.fired[l]; }));
-      e.cancel(timers[l].back());
-    }
-    out.events = e.run();
-    EXPECT_EQ(e.pending(), 0u);
-    // Every id of the finished run is stale: none may reach the events
-    // that reuse the nodes (more events than the setup pool had).
-    int later = 0;
-    for (int k = 0; k < 64; ++k) e.at(e.now() + 1, [&later] { ++later; });
-    for (const auto& lane_timers : timers)
-      for (const Engine::TimerId& id : lane_timers) e.cancel(id);
-    EXPECT_EQ(e.run(), 64u);
-    EXPECT_EQ(later, 64);
-    return out;
-  };
-  const Out serial = runIt(1);
-  int fired = 0;
-  for (int f : serial.fired) fired += f;
-  // Every lane's setup timers are cancelled before t = 100; half the
-  // run-time timers survive.
-  EXPECT_EQ(fired, static_cast<int>(kLanes) * ((kHops + 1) / 2));
-  EXPECT_EQ(serial.events,
-            kLanes * static_cast<uint64_t>(kHops + 1) +
-                static_cast<uint64_t>(fired));
-  const Out par = runIt(4);
-  EXPECT_EQ(par.events, serial.events);
-  EXPECT_EQ(par.fired, serial.fired);
-}
-
-TEST(Engine, ResolveSimThreads) {
-  const char* old = std::getenv("VODSM_SIM_THREADS");
-  const std::string saved = old ? old : "";
-  EXPECT_EQ(resolveSimThreads(3), 3);
-  EXPECT_EQ(resolveSimThreads(-1), 1);
-  ::setenv("VODSM_SIM_THREADS", "5", 1);
-  EXPECT_EQ(resolveSimThreads(0), 5);
-  ::unsetenv("VODSM_SIM_THREADS");
-  EXPECT_EQ(resolveSimThreads(0), 1);
-  if (old) ::setenv("VODSM_SIM_THREADS", saved.c_str(), 1);
-}
-
-// Cross-lane ping-pong chains: the per-lane execution records (times and
-// chain positions) must be identical for every worker count, and the
-// parallel schedules must actually run (lookahead published, >1 lane).
-TEST(Engine, LaneScheduleIsThreadCountInvariant) {
-  constexpr uint32_t kLanes = 4;
-  using LaneLog = std::vector<std::pair<Time, int>>;
-  auto runIt = [](int threads, std::array<LaneLog, kLanes>& logs) {
-    Engine e;
-    e.configureLanes(kLanes, threads);
-    e.setLookahead(10);
-    std::function<void(uint32_t, int)> hop = [&](uint32_t lane, int k) {
-      logs[lane].emplace_back(e.now(), k);
-      if (k < 50) {
-        const uint32_t nxt = (lane + 1) % kLanes;
-        e.atLane(nxt, e.now() + 10, [&hop, nxt, k] { hop(nxt, k + 1); });
-      }
-    };
-    for (uint32_t l = 0; l < kLanes; ++l) {
-      Engine::LaneGuard g(e, l);
-      e.at(l + 1, [&hop, l] { hop(l, 0); });
-    }
-    const uint64_t n = e.run();
-    EXPECT_EQ(n, kLanes * 51u);
-    EXPECT_EQ(e.pending(), 0u);
-  };
-  std::array<LaneLog, kLanes> serial;
-  runIt(1, serial);
-  for (int threads : {2, 4}) {
-    std::array<LaneLog, kLanes> par;
-    runIt(threads, par);
-    for (uint32_t l = 0; l < kLanes; ++l)
-      EXPECT_EQ(serial[l], par[l]) << "lane " << l << ", threads " << threads;
+  // Equal-time events posted from three lanes. Each lane's first stamp is
+  // 0, so at t = 10 the stamp and then the origin lane break the tie, not
+  // insertion order. Keys are given as (time, stamp, origin lane).
+  {
+    Engine::LaneGuard g(e, 2);
+    // (10, 0, 2), then lane 2's stamps 1..5 at t = 20.
+    e.at(10, log("a2"));
+    for (int k = 0; k < 5; ++k) e.at(20, log("w" + std::to_string(k)));
   }
+  {
+    Engine::LaneGuard g(e, 1);
+    // (10, 0, 1), then (15, 1, 1), which moves lane 1's counter to 2.
+    e.at(10, log("b1"));
+    e.at(15, [&] {
+      order += "chain1 ";
+      // (20, 2, 1), the cancelled (20, 3, 1), and (20, 4, 1).
+      e.at(20, log("x1"));
+      const Engine::TimerId id = e.afterCancellable(5, log("cancelled"));
+      e.at(20, log("y1"));
+      e.cancel(id);
+      // (20, 5, 1) runs in lane 0 and lifts lane 0's counter from 2 to 6,
+      // so what it schedules at t = 20 sorts after w4 (20, 5, 2). Without
+      // the Lamport advance, after0 would draw (20, 2, 0) and run first.
+      e.atLane(0, 20, [&] {
+        order += "hop1>0 ";
+        e.at(20, log("after0"));
+      });
+    });
+  }
+  {
+    Engine::LaneGuard g(e, 0);
+    // (10, 0, 0), posted by lane 0 to run in lane 2; then (10, 1, 0).
+    e.atLane(2, 10, log("c0>2"));
+    e.at(10, log("d0"));
+  }
+  // The cancelled timer is not counted.
+  EXPECT_EQ(e.run(), 14u);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(order, "c0>2 b1 a2 d0 chain1 w0 x1 w1 w2 y1 w3 hop1>0 w4 after0 ");
 }
 
 TEST(Engine, SchedulingInPastIsRejectedInDebug) {
